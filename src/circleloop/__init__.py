@@ -12,7 +12,6 @@ from .builder import (
     ValidationReport,
     build_loop_spec,
     check_discriminant,
-    check_g_admissible,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -65,7 +64,6 @@ __all__ = [
     "ValidationReport",
     "build_loop_spec",
     "check_discriminant",
-    "check_g_admissible",
     "f_inv_from_weight",
     "weight_from_f_inv",
     "integral_inequality_value",

@@ -62,7 +62,7 @@ class Tolerances:
     tol_eq: float = TOL_EQ           # equality residuals
     delta_strict: float = DELTA_STRICT  # required margin for strict inequalities on grids
     tol_boundary: float = 1e-9       # |f(0)-1|, |g(0)|, |g(2pi)|
-    tol_root: float = 1e-12          # bisection width for loop divisions
+    tol_root: float = 1e-12          # bisection width for right division
     tol_det: float = 1e-9            # determinant drift
 
 
@@ -82,15 +82,6 @@ class DiscriminantCheck:
     max_value: float
     argmax: float
     initial_slope_margin: float  # g'(0) - f'^2(0) + 1, must be > 0
-
-
-@dataclass(frozen=True)
-class GAdmissibility:
-    """Margin of g above its comparison lower bound, plus the discriminant check."""
-
-    bound_margin: float   # min over interior grid of g(t) + h(t), must be > 0
-    bound_argmin: float
-    discriminant: DiscriminantCheck
 
 
 @dataclass(frozen=True)
@@ -224,6 +215,21 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     return energy.integral_from_zero(t) / f_inv(t)
 
 
+def _discriminant(f_inv: FourierSeries, g: FourierSeries, ts):
+    """Pointwise f'^2 + g f^2 f' - g' f^3 - f^2 at ts (f = 1/f_inv).
+
+    Not finite where f_inv vanishes.
+    """
+    fh = f_inv(ts)
+    fhp = f_inv.derivative_at(ts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1.0 / fh
+        fp = -fhp / (fh * fh)
+        gv = g(ts)
+        gp = g.derivative_at(ts)
+        return fp * fp + gv * f * f * fp - gp * f * f * f - f * f
+
+
 def check_discriminant(
     f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
 ) -> DiscriminantCheck:
@@ -234,14 +240,7 @@ def check_discriminant(
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     ts = uniform_grid(n)
-    fh = f_inv(ts)
-    fhp = f_inv.derivative_at(ts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 / fh
-        fp = -fhp / (fh * fh)
-        gv = g(ts)
-        gp = g.derivative_at(ts)
-        disc = fp * fp + gv * f * f * fp - gp * f * f * f - f * f
+    disc = _discriminant(f_inv, g, ts)
     if not np.all(np.isfinite(disc)):
         bad = int(np.nonzero(~np.isfinite(disc))[0][0])
         return DiscriminantCheck(float("nan"), float(ts[bad]), float("nan"))
@@ -260,26 +259,6 @@ def check_g_bound(
     vals = g(ts) + subfunction_bound(f_inv, ts, grid_n=n)
     i = int(vals.argmin())
     return float(vals[i]), float(ts[i])
-
-
-def check_g_admissible(
-    f_inv: FourierSeries,
-    g: FourierSeries,
-    grid_n: int = DEFAULT_GRID,
-    *,
-    tol_boundary: float = 1e-9,
-) -> GAdmissibility:
-    """Comparison-bound margin for g plus the authoritative discriminant check.
-
-    The comparison bound is necessary; the discriminant condition is the
-    exact criterion.  Both are reported so that a discrepancy (bound
-    satisfied, discriminant violated) is surfaced rather than hidden.
-    """
-    g0 = float(g(0.0))
-    if abs(g0) > tol_boundary:
-        raise ValueError(f"g(0) = {g0!r} violates the g(0) = 0 precondition")
-    margin, argmin = check_g_bound(f_inv, g, grid_n)
-    return GAdmissibility(margin, argmin, check_discriminant(f_inv, g, grid_n))
 
 
 def _validate(

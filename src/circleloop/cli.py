@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import ops, verify
-from .builder import LoopSpec, Tolerances, build_loop_spec, subfunction_bound
+from .builder import LoopSpec, Tolerances, _discriminant, build_loop_spec, subfunction_bound
 from .errors import SpecFileError, UnknownSuiteError
 from .fourier import TWO_PI
 from .specfile import load_spec_file
@@ -121,7 +121,7 @@ def _report_dict(spec: LoopSpec) -> dict:
 @click.option("--tol-eq", type=float, default=None, help="Equality-residual tolerance override.")
 @click.option("--delta-strict", type=float, default=None,
               help="Required margin for strict inequalities.")
-@click.option("--tol-root", type=float, default=None, help="Division bisection tolerance.")
+@click.option("--tol-root", type=float, default=None, help="Right-division bisection tolerance.")
 @click.pass_context
 def cli(ctx: click.Context, grid_n: int | None, degrees: bool, tol_eq: float | None,
         delta_strict: float | None, tol_root: float | None) -> None:
@@ -233,13 +233,10 @@ def plot_data(ctx: click.Context, spec_path: str, out_path: str) -> None:
     _require_valid(spec)
     n = spec.report.grid_n
     ts = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    fh = spec.f_inv(ts)
-    f = 1.0 / fh
-    fp = -spec.f_inv.derivative_at(ts) / (fh * fh)
+    f = 1.0 / spec.f_inv(ts)
     g = spec.g(ts)
-    gp = spec.g.derivative_at(ts)
     h = subfunction_bound(spec.f_inv, ts, grid_n=n)
-    disc = fp * fp + g * f * f * fp - gp * f ** 3 - f * f
+    disc = _discriminant(spec.f_inv, spec.g, ts)
     lines = ["t,f,g,h,disc"]
     for row in zip(ts, f, g, h, disc):
         lines.append(",".join(f"{v:.12g}" for v in row))

@@ -217,7 +217,8 @@ def check_weight(
 
         a0 - sum [ (k cos_k - sin_k) sin(kt) - (cos_k + k sin_k) cos(kt) ] / (1+k^2),
 
-    which equals the reciprocal profile the series generates, evaluated at -t.
+    which equals the reciprocal profile the series generates, evaluated at t:
+    expanded, it has exactly that profile's coefficients.
 
     Raises InvalidGridError when grid_n is below 4K+16.
     """

@@ -7,15 +7,19 @@ matrix at s, multiplication is
     s * t = angle_of( sigma(s) @ rot(t) ),
 
 which has identity 0 and, for a valid spec, strictly increasing degree-1
-left and right translations; divisions are solved by bisection on the
-monotone lifts.
+left and right translations.  Left division is closed form: a * y = b says
+the first column of rot(y) is a positive multiple of
+sigma(a)^-1 @ (cos b, -sin b).  Right division is solved by bisection on
+the monotone lift of the right translation.
 
 For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
-cosets of the conjugated stabilizer.  The section defines a loop exactly
-when every eta_beta is strictly increasing with winding one; the
-transversal check samples that directly, and `transitivity_quadratic`
-evaluates the equivalent quadratic-in-w positivity condition.
+cosets of the conjugated stabilizer.  It is the right translation by beta
+shifted by -beta, eta_beta(t) = t * beta - beta.  The section defines a
+loop exactly when every eta_beta is strictly increasing with winding one;
+the transversal check samples that directly on the lifts of
+`_translation_lifts`, and `transitivity_quadratic` evaluates the
+equivalent quadratic-in-w positivity condition.
 """
 
 from __future__ import annotations
@@ -27,15 +31,9 @@ import numpy as np
 from .builder import LoopSpec
 from .errors import InvalidSpecError, RootNotBracketedError
 from .fourier import TWO_PI
-from .sl2 import kh_decompose
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
-
-
-def _bisect_steps(tol_root: float) -> int:
-    """Iterations needed to shrink [0, 2*pi] below tol_root, plus guard bits."""
-    return min(90, max(20, int(np.ceil(np.log2(TWO_PI / tol_root))) + 8))
 
 
 @dataclass(frozen=True)
@@ -90,24 +88,6 @@ def _circular_distance(x, y):
     return np.minimum(d, TWO_PI - d)
 
 
-def _bisect_translation(spec: LoopSpec, anchor, target, advance):
-    """Solve advance(y) = target for the monotone lift of a translation.
-
-    `advance(y)` must be the translation's increase over its value at 0,
-    reduced to [0, 2*pi); strict monotonicity makes plain bisection on
-    [0, 2*pi] unconditionally convergent.
-    """
-    target = np.asarray(target, dtype=float)
-    lo = np.zeros(target.shape)
-    hi = np.full(target.shape, TWO_PI)
-    for _ in range(_bisect_steps(spec.report.tolerances.tol_root)):
-        mid = 0.5 * (lo + hi)
-        go_right = advance(mid) < target
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return (0.5 * (lo + hi)) % TWO_PI
-
-
 def ldiv(spec: LoopSpec, a, b):
     """The unique y with a * y = b (left division a \\ b)."""
     _require_valid(spec)
@@ -117,17 +97,11 @@ def ldiv(spec: LoopSpec, a, b):
 def _ldiv_unchecked(spec: LoopSpec, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    target = (b - a) % TWO_PI
-    y = _bisect_translation(
-        spec, a, target, lambda m: (_mul_unchecked(spec, a, m) - a) % TWO_PI
-    )
-    residual = _circular_distance(_mul_unchecked(spec, a, y), b)
-    if np.any(residual > _DIV_RESIDUAL_LIMIT):
-        worst = float(np.max(residual))
-        raise RootNotBracketedError(
-            f"left division residual {worst:.3e}; the left translation is not "
-            "a monotone circle map (inadmissible spec?)"
-        )
+    # angle of sigma(a)^-1 @ (cos b, -sin b); det sigma(a) = 1, so the
+    # inverse is [[m22, -m12], [-m21, m11]]
+    m11, m12, m21, m22 = _section_entries(spec, a)
+    cb, sb = np.cos(b), np.sin(b)
+    y = np.arctan2(m21 * cb + m11 * sb, m22 * cb + m12 * sb) % TWO_PI
     return y if y.shape else float(y)
 
 
@@ -138,12 +112,25 @@ def rdiv(spec: LoopSpec, b, a):
 
 
 def _rdiv_unchecked(spec: LoopSpec, b, a):
+    """Bisection on [0, 2*pi] for (x * a - a) mod 2*pi = (b - a) mod 2*pi.
+
+    For a valid spec the left side rises strictly from 0 to 2*pi as x runs
+    over [0, 2*pi), so plain bisection converges; the residual check
+    catches a spec whose right translation is not monotone.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     target = (b - a) % TWO_PI
-    x = _bisect_translation(
-        spec, a, target, lambda m: (_mul_unchecked(spec, m, a) - a) % TWO_PI
-    )
+    lo = np.zeros(target.shape)
+    hi = np.full(target.shape, TWO_PI)
+    # halvings to shrink [0, 2*pi] below tol_root, plus guard bits
+    steps = int(np.ceil(np.log2(TWO_PI / spec.report.tolerances.tol_root))) + 8
+    for _ in range(min(90, max(20, steps))):
+        mid = 0.5 * (lo + hi)
+        go_right = (_mul_unchecked(spec, mid, a) - a) % TWO_PI < target
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    x = (0.5 * (lo + hi)) % TWO_PI
     residual = _circular_distance(_mul_unchecked(spec, x, a), b)
     if np.any(residual > _DIV_RESIDUAL_LIMIT):
         worst = float(np.max(residual))
@@ -154,28 +141,57 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     return x if x.shape else float(x)
 
 
-def eta_lift_beta(spec: LoopSpec, beta: float, ts: np.ndarray) -> np.ndarray:
-    """Continuous lift of eta_beta along the angles ts (ts[0] must be 0).
+def _translation_lifts(spec: LoopSpec, anchors, ts, side: str) -> np.ndarray:
+    """Lifts along ts of every translation by an anchor, shifted by the anchor.
 
-    eta_beta(t) is computed in matrix form as atan2 of the first column of
-    rot(t - beta) @ F(t) @ rot(beta), which stays smooth where the
-    tan-quotient formula has poles, then unwrapped along ts.
+    Row i is the lift of t -> a_i * t - a_i (side "left") or of
+    t -> t * a_i - a_i = eta_{a_i}(t) (side "right"), unwrapped along ts
+    and starting from the value at ts[0].  Both are the coset angle of
+    rot(x) @ [[f(u), g(u)], [0, f_inv(u)]] @ rot(y), with (x, u, y) =
+    (0, a, t) on the left and (t - a, t, a) on the right: f_inv and g are
+    sampled once per anchor or once per angle, and the first column is
+    rotated in matrix form, which stays smooth where the tan-quotient
+    formula has poles.  The shift leaves every step and the winding of
+    the translation unchanged.
     """
+    anchors = np.asarray(anchors, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
-    fh = spec.f_inv(ts)
+    if side == "left":
+        u, x, y = anchors, 0.0, ts
+    else:
+        u, x, y = ts, ts - anchors, anchors
+    fh = spec.f_inv(u)
     f = 1.0 / fh
-    g = spec.g(ts)
-    cb, sb = np.cos(beta), np.sin(beta)
-    radial = f * cb - g * sb
-    ctb, stb = np.cos(ts - beta), np.sin(ts - beta)
-    s_comp = radial * stb + fh * sb * ctb
-    c_comp = radial * ctb - fh * sb * stb
-    return np.unwrap(np.arctan2(s_comp, c_comp))
+    g = spec.g(u)
+    cy, sy = np.cos(y), np.sin(y)
+    radial = f * cy - g * sy
+    cx, sx = np.cos(x), np.sin(x)
+    s_comp = radial * sx + fh * sy * cx
+    c_comp = radial * cx - fh * sy * sx
+    return np.unwrap(np.arctan2(s_comp, c_comp), axis=-1)
+
+
+def _worst_step(lifts: np.ndarray) -> tuple[float, int, int, float, int]:
+    """Scan a stack of lifts for monotonicity and unit winding.
+
+    Returns the smallest forward step of any row with its (row, column),
+    then the largest winding error |lift[-1] - lift[0] - 2*pi| with its
+    row; ties go to the first row and column.
+    """
+    steps = np.diff(lifts, axis=-1)
+    row, col = np.unravel_index(int(steps.argmin()), steps.shape)
+    winding = np.abs(lifts[:, -1] - lifts[:, 0] - TWO_PI)
+    w = int(winding.argmax())
+    return float(steps[row, col]), int(row), int(col), float(winding[w]), w
 
 
 def eta_lift(spec: LoopSpec, w: float, ts: np.ndarray) -> np.ndarray:
-    """Continuous lift of eta_w along ts, with w = tan(beta)."""
-    return eta_lift_beta(spec, float(np.arctan(w)), ts)
+    """Continuous lift of eta_w along ts, with w = tan(beta).
+
+    Starts at eta_w(ts[0]) reduced to (-pi, pi]; for a valid spec and
+    ts[0] = 0 that is eta_w(0) = 0.
+    """
+    return _translation_lifts(spec, [np.arctan(w)], ts, "right")[0]
 
 
 def eta(spec: LoopSpec, w: float, t: float, *, resolution: int = 2048) -> float:
@@ -259,33 +275,14 @@ def baer_transversal_check(
     """
     ts = np.linspace(0.0, TWO_PI, t_grid + 1)
     betas = np.linspace(0.0, np.pi, beta_grid, endpoint=False)
-    worst_margin = np.inf
-    worst_beta = worst_t = 0.0
-    worst_wind = 0.0
-    worst_wind_beta = 0.0
-    for beta in betas:
-        lift = eta_lift_beta(spec, float(beta), ts)
-        steps = np.diff(lift)
-        i = int(steps.argmin())
-        if steps[i] < worst_margin:
-            worst_margin = float(steps[i])
-            worst_beta, worst_t = float(beta), float(ts[i])
-        wind_err = abs(float(lift[-1] - lift[0]) - TWO_PI)
-        if wind_err > worst_wind:
-            worst_wind = wind_err
-            worst_wind_beta = float(beta)
+    step, i, j, wind, w = _worst_step(_translation_lifts(spec, betas, ts, "right"))
     return TransversalReport(
-        passed=worst_margin > 0.0 and worst_wind < winding_tol,
+        passed=step > 0.0 and wind < winding_tol,
         beta_count=beta_grid,
         t_count=t_grid,
-        worst_margin=float(worst_margin),
-        worst_beta=worst_beta,
-        worst_t=worst_t,
-        worst_winding_error=worst_wind,
-        worst_winding_beta=worst_wind_beta,
+        worst_margin=step,
+        worst_beta=float(betas[i]),
+        worst_t=float(ts[j]),
+        worst_winding_error=wind,
+        worst_winding_beta=float(betas[w]),
     )
-
-
-def section_angle_roundtrip(spec: LoopSpec, t: float) -> float:
-    """Coset angle recovered from the section matrix (should equal t mod 2*pi)."""
-    return kh_decompose(section(spec, t).matrix)[0]

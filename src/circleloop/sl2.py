@@ -70,17 +70,6 @@ def det(m: np.ndarray) -> float:
     return float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
 
 
-def renormalized(m: np.ndarray) -> np.ndarray:
-    """Divide by sqrt(det) to pull a drifted product chain back onto det = 1.
-
-    Not applied automatically anywhere; callers opt in after long chains.
-    """
-    d = det(m)
-    if d <= 0:
-        raise NotUnimodularError(f"cannot renormalize matrix with det {d}")
-    return m / np.sqrt(d)
-
-
 def kh_decompose(
     m: np.ndarray, *, tol_det: float = TOL_DET
 ) -> tuple[float, UpperTriangular]:

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,11 @@ from circleloop import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+# CLI tests start `python -m circleloop.cli` in child processes; they must
+# import the same source tree as the tests themselves.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def circ_dist(x, y):

@@ -7,7 +7,6 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_discriminant,
-    check_g_admissible,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -18,6 +17,7 @@ from circleloop import (
     transitivity_quadratic,
     weight_from_f_inv,
 )
+from circleloop.builder import check_g_bound
 from circleloop.errors import NonPositiveProfileError, NotAdmissibleError
 
 from conftest import random_admissible_weight, random_admissible_spec
@@ -189,23 +189,21 @@ class TestDiscriminant:
 
 
 class TestGAdmissible:
-    def test_rejects_nonzero_g_at_origin(self):
-        with pytest.raises(ValueError):
-            check_g_admissible(FourierSeries(1.0), FourierSeries(0.1), 512)
-
     def test_trivial_margin_is_first_interior_bound(self):
-        frag = check_g_admissible(FourierSeries(1.0), FourierSeries(0.0), 4096)
+        margin, _ = check_g_bound(FourierSeries(1.0), FourierSeries(0.0), 4096)
         # g == 0 and h(t) = t, so the margin is h at the first interior grid point
-        assert frag.bound_margin == pytest.approx(TWO_PI / 4096, abs=1e-12)
-        assert frag.discriminant.max_value == pytest.approx(-1.0)
+        assert margin == pytest.approx(TWO_PI / 4096, abs=1e-12)
+        disc = check_discriminant(FourierSeries(1.0), FourierSeries(0.0), 4096)
+        assert disc.max_value == pytest.approx(-1.0)
 
     def test_marginal_shear_decided_by_discriminant(self):
         # g = -(1 - cos t) satisfies the comparison bound near 0 but its
         # discriminant maximum touches 0, so it is not strictly admissible
         g = FourierSeries(-1.0, (1.0,), (0.0,))
-        frag = check_g_admissible(FourierSeries(1.0), g, 4096)
-        assert frag.bound_margin > 0
-        assert frag.discriminant.max_value == pytest.approx(0.0, abs=1e-6)
+        margin, _ = check_g_bound(FourierSeries(1.0), g, 4096)
+        assert margin > 0
+        disc = check_discriminant(FourierSeries(1.0), g, 4096)
+        assert disc.max_value == pytest.approx(0.0, abs=1e-6)
         assert not build_loop_spec(FourierSeries(1.0), g).report.verdict
 
 

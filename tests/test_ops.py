@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from circleloop import (
     FourierSeries,
+    Tolerances,
     angle_of,
     baer_transversal_check,
     build_loop_spec,
@@ -18,12 +21,51 @@ from circleloop import (
     transitivity_quadratic,
     upper,
 )
-from circleloop.errors import InvalidSpecError
-from circleloop.ops import section_angle_roundtrip
+from circleloop.errors import InvalidSpecError, RootNotBracketedError
+from circleloop.ops import (
+    _ldiv_unchecked,
+    _mul_unchecked,
+    _rdiv_unchecked,
+    _translation_lifts,
+    _worst_step,
+)
+from circleloop.specfile import load_spec_file
 
 from conftest import circ_dist
 
 TWO_PI = 2.0 * np.pi
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+SPEC_FILES = sorted(p.name for p in SPEC_DIR.glob("*.json"))
+
+
+def spec_from_file(name: str):
+    """A fixture spec built as the CLI builds it, whatever its verdict."""
+    doc = load_spec_file(SPEC_DIR / name)
+    return build_loop_spec(
+        doc.weight, doc.g, grid_n=doc.grid_n or 4096, tolerances=doc.tolerances or Tolerances()
+    )
+
+
+def bisection_ldiv(spec, a, b, steps: int = 51):
+    """Reference left division: bisection on the lift of y -> a * y - a."""
+    target = (b - a) % TWO_PI
+    lo, hi = np.zeros(target.shape), np.full(target.shape, TWO_PI)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        go_right = (_mul_unchecked(spec, a, mid) - a) % TWO_PI < target
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    return (0.5 * (lo + hi)) % TWO_PI
+
+
+def reference_eta_lift(spec, beta: float, ts):
+    """Reference eta_beta lift: the first column of rot(t - beta) @ F(t) @ rot(beta)."""
+    fh = spec.f_inv(ts)
+    f, g = 1.0 / fh, spec.g(ts)
+    cb, sb = np.cos(beta), np.sin(beta)
+    radial = f * cb - g * sb
+    ctb, stb = np.cos(ts - beta), np.sin(ts - beta)
+    return np.unwrap(np.arctan2(radial * stb + fh * sb * ctb, radial * ctb - fh * sb * stb))
 
 
 def mod_pi_dist(x, y):
@@ -46,10 +88,6 @@ class TestSection:
         theta, h = kh_decompose(pt.matrix)
         assert theta == pytest.approx(np.pi, abs=1e-12)
         assert h.a == pytest.approx(1.25, abs=1e-12)
-
-    def test_angle_roundtrip(self, shear_spec):
-        for t in np.linspace(0.1, TWO_PI - 0.1, 17):
-            assert circ_dist(section_angle_roundtrip(shear_spec, float(t)), t) < 1e-10
 
     def test_determinant(self, shear_spec):
         from circleloop.sl2 import det
@@ -119,6 +157,20 @@ class TestDivisions:
         x = rdiv(shear_spec, 2.0, 1.0)
         assert circ_dist(mul(shear_spec, x, 1.0), 2.0) < 1e-10
 
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    def test_closed_form_ldiv_matches_bisection(self, name):
+        spec = spec_from_file(name)
+        rng = np.random.default_rng(73)
+        a, b = rng.uniform(0, TWO_PI, (2, 10000))
+        assert np.max(circ_dist(_ldiv_unchecked(spec, a, b), bisection_ldiv(spec, a, b))) <= 1e-12
+
+    def test_rdiv_unbracketed_on_inadmissible_spec(self):
+        spec = spec_from_file("inadmissible.json")
+        angles = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+        aa, bb = np.meshgrid(angles, angles, indexing="ij")
+        with pytest.raises(RootNotBracketedError):
+            _rdiv_unchecked(spec, _mul_unchecked(spec, aa, bb), bb)
+
     def test_invalid_spec_rejected(self):
         bad = build_loop_spec(FourierSeries(0.5))
         with pytest.raises(InvalidSpecError):
@@ -172,6 +224,35 @@ class TestEta:
         assert abs(lift[0]) < 1e-12
         assert np.max(np.abs(np.diff(lift))) < 0.05  # no branch jumps
         assert lift[-1] - lift[0] == pytest.approx(TWO_PI, abs=1e-9)
+
+
+class TestTranslationLifts:
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    def test_right_lifts_match_reference_eta(self, name):
+        spec = spec_from_file(name)
+        ts = np.linspace(0.0, TWO_PI, 1025)
+        betas = np.concatenate([np.linspace(0.0, np.pi, 16, endpoint=False), [-1.2, -0.3]])
+        lifts = _translation_lifts(spec, betas, ts, "right")
+        for beta, lift in zip(betas, lifts):
+            assert np.max(np.abs(lift - reference_eta_lift(spec, float(beta), ts))) <= 1e-12
+
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_rows_are_translations_shifted_by_anchor(self, name, side):
+        spec = spec_from_file(name)
+        ts = np.linspace(0.0, TWO_PI, 1025)
+        anchors = np.linspace(0.0, TWO_PI, 12, endpoint=False)
+        lifts = _translation_lifts(spec, anchors, ts, side)
+        for a, lift in zip(anchors, lifts):
+            img = _mul_unchecked(spec, a, ts) if side == "left" else _mul_unchecked(spec, ts, a)
+            assert np.max(circ_dist(lift, img - a)) < 1e-12
+            assert np.max(np.abs(np.diff(lift) - np.diff(np.unwrap(img)))) < 1e-12
+
+    def test_worst_step_locates_step_and_winding(self):
+        lifts = np.array([[0.0, 1.0, 2.0, TWO_PI], [0.0, 3.0, 2.5, TWO_PI + 0.1]])
+        step, row, col, wind, wind_row = _worst_step(lifts)
+        assert (step, row, col) == (-0.5, 1, 1)
+        assert wind == pytest.approx(0.1, abs=1e-12) and wind_row == 1
 
 
 class TestEtaDerivativeExpr:

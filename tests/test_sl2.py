@@ -3,7 +3,7 @@ import pytest
 
 from circleloop import angle_of, kh_decompose, normalize_angle, rot, upper
 from circleloop.errors import DegenerateColumnError, NotUnimodularError
-from circleloop.sl2 import det, renormalized
+from circleloop.sl2 import det
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,11 +42,6 @@ class TestProducts:
         for _ in range(100):
             m = m @ rot(rng.uniform(0, TWO_PI)) @ upper(np.exp(rng.normal(0, 0.05)), rng.normal(0, 0.1))
         assert abs(det(m) - 1.0) < 1e-9
-
-    def test_renormalize(self):
-        m = 1.0000001 * rot(0.3)
-        back = renormalized(m)
-        assert det(back) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDecomposition:

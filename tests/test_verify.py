@@ -47,6 +47,18 @@ class TestAxiomSuite:
         assert ident and all(v < 1e-10 for _, _, v in ident)
 
 
+    def test_right_monotonicity_agrees_with_baer(self, corrupted_spec):
+        # t -> t * a and eta_a differ by the constant a, and a and a + pi give
+        # the same map, so both suites see the same worst backward step
+        axioms = {d[0]: d for d in run_axiom_suite(corrupted_spec, 64).details}
+        baer = {d[0]: d for d in run_baer_suite(corrupted_spec).details}
+        _, (anchor, t_ax), violation = axioms["right-translation-monotonicity"]
+        _, (beta, t_baer), step = baer["eta-min-step"]
+        assert violation == pytest.approx(-step, abs=1e-12)
+        assert t_ax == t_baer
+        assert anchor % np.pi == pytest.approx(beta, abs=1e-12)
+
+
 class TestBaerSuite:
     def test_example(self, example_spec):
         res = run_baer_suite(example_spec, 16, 1024)
