@@ -205,29 +205,32 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     Raises NonPositiveProfileError if f_inv is not strictly positive on
     the check grid.
     """
-    ts = uniform_grid(max(grid_n, min_grid_points(f_inv)))
-    fh = f_inv(ts)
-    if fh.min() <= 0.0:
-        raise NonPositiveProfileError(
-            f"reciprocal profile reaches {fh.min():.3e} at t={ts[fh.argmin()]:.6f}"
-        )
+    _positive_on_grid(f_inv, max(grid_n, min_grid_points(f_inv)))
     energy = profile_energy_series(f_inv)
     return energy.integral_from_zero(t) / f_inv(t)
 
 
-def _discriminant(f_inv: FourierSeries, g: FourierSeries, ts):
-    """Pointwise f'^2 + g f^2 f' - g' f^3 - f^2 at ts (f = 1/f_inv).
+def _positive_on_grid(f_inv: FourierSeries, n: int) -> np.ndarray:
+    """f_inv on the n-point grid; NonPositiveProfileError unless it is > 0 there."""
+    fh = f_inv._on_grid(n)
+    i = int(fh.argmin())
+    if fh[i] <= 0.0:
+        raise NonPositiveProfileError(
+            f"reciprocal profile reaches {fh[i]:.3e} at t={uniform_grid(n)[i]:.6f}"
+        )
+    return fh
+
+
+def _discriminant(fh, fhp, g, gp):
+    """Pointwise f'^2 + g f^2 f' - g' f^3 - f^2 (f = 1/f_inv), from samples
+    of f_inv, f_inv', g and g' at the same angles.
 
     Not finite where f_inv vanishes.
     """
-    fh = f_inv(ts)
-    fhp = f_inv.derivative_at(ts)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 1.0 / fh
         fp = -fhp / (fh * fh)
-        gv = g(ts)
-        gp = g.derivative_at(ts)
-        return fp * fp + gv * f * f * fp - gp * f * f * f - f * f
+        return fp * fp + g * f * f * fp - gp * f * f * f - f * f
 
 
 def check_discriminant(
@@ -240,7 +243,9 @@ def check_discriminant(
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     ts = uniform_grid(n)
-    disc = _discriminant(f_inv, g, ts)
+    disc = _discriminant(
+        *(s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative()))
+    )
     if not np.all(np.isfinite(disc)):
         bad = int(np.nonzero(~np.isfinite(disc))[0][0])
         return DiscriminantCheck(float("nan"), float(ts[bad]), float("nan"))
@@ -253,12 +258,16 @@ def check_discriminant(
 def check_g_bound(
     f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
 ) -> tuple[float, float]:
-    """Minimum of g(t) + h(t) over interior grid points (must be > 0)."""
+    """Minimum of g(t) + h(t) over interior grid points (must be > 0).
+
+    h is `subfunction_bound`, sampled on the grid path.
+    """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
-    ts = uniform_grid(n)[1:]
-    vals = g(ts) + subfunction_bound(f_inv, ts, grid_n=n)
+    fh = _positive_on_grid(f_inv, n)
+    h = profile_energy_series(f_inv)._integral_on_grid(n) / fh
+    vals = (g._on_grid(n) + h)[1:]
     i = int(vals.argmin())
-    return float(vals[i]), float(ts[i])
+    return float(vals[i]), float(uniform_grid(n)[i + 1])
 
 
 def _validate(
@@ -279,10 +288,9 @@ def _validate(
     if wrep.energy_slack < -tol.tol_eq:
         failures.append(Failure("weight-energy", None, wrep.energy_slack))
 
-    ts = uniform_grid(n)
-    fh = f_inv(ts)
+    fh = f_inv._on_grid(n)
     i = int(fh.argmin())
-    f_min, f_argmin = float(fh[i]), float(ts[i])
+    f_min, f_argmin = float(fh[i]), float(uniform_grid(n)[i])
     if f_min <= tol.delta_strict:
         failures.append(Failure("profile-positivity", f_argmin, f_min))
 

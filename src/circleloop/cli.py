@@ -233,10 +233,10 @@ def plot_data(ctx: click.Context, spec_path: str, out_path: str) -> None:
     _require_valid(spec)
     n = spec.report.grid_n
     ts = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    f = 1.0 / spec.f_inv(ts)
-    g = spec.g(ts)
+    fh, g = spec.f_inv(ts), spec.g(ts)
+    f = 1.0 / fh
     h = subfunction_bound(spec.f_inv, ts, grid_n=n)
-    disc = _discriminant(spec.f_inv, spec.g, ts)
+    disc = _discriminant(fh, spec.f_inv.derivative_at(ts), g, spec.g.derivative_at(ts))
     lines = ["t,f,g,h,disc"]
     for row in zip(ts, f, g, h, disc):
         lines.append(",".join(f"{v:.12g}" for v in row))

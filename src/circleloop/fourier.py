@@ -4,8 +4,21 @@ A truncated Fourier series is the trigonometric polynomial
 
     s(t) = a0 + sum_{k=1..K} (cos_k * cos(k t) + sin_k * sin(k t)),
 
-2*pi-periodic by construction.  Everything here is exact coefficient
-arithmetic plus pointwise evaluation; no FFT and no coefficient estimation
+2*pi-periodic by construction.  With D_k = cos_k - i sin_k its calculus is
+exact coefficient arithmetic:
+
+    s(t)                 = a0 + Re sum_k D_k e^{ikt}
+    s'(t)                = Re sum_k ik D_k e^{ikt}
+    int_0^t s(u) du      = a0 t + Re sum_k D_k/(ik) (e^{ikt} - 1)
+    int_0^t s(u) e^-u du = (1 - e^-t)(a0 - Re sum_k G_k)
+                           + e^-t Re sum_k G_k (e^{ikt} - 1),   G_k = D_k/(ik - 1).
+
+One private evaluator samples every such quantity, by the path its caller
+picks: at arbitrary points, Horner's rule in real arithmetic on
+(cos t, sin t), one sincos per point and then O(K) multiply-adds; on the
+uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2.
+Through e^{ikt} - 1 = (z - 1) sum_{j<k} z^j, with z - 1 = -2 sin^2(t/2) + i sin t,
+both integrals are exactly 0 at t = 0.  No coefficient is ever estimated
 from samples.
 
 A weight series is admissible when it satisfies three conditions:
@@ -15,13 +28,17 @@ A weight series is admissible when it satisfies three conditions:
   (iii) 2 a0 >= sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)   (energy bound).
 
 Condition (ii) is a strict inequality on a continuum; it is checked on a
-uniform grid of at least 4K+16 points together with a positive margin,
-which is conservative for a trigonometric polynomial with K harmonics.
+uniform grid of at least 4K+16 points together with a positive margin.
+Such a grid resolves every harmonic but decides nothing between its
+points.  The discriminant check in `builder` samples the same way, and its
+numerator has degree 2*max(K_F, K_g): a spec whose positive discriminant
+maximum falls between two samples is admitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,6 +55,63 @@ DELTA_STRICT = 1e-9
 DEFAULT_GRID = 4096
 
 
+def _horner(terms: list, t, w):
+    """Re[w * sum_j terms[j] e^{ijt}] at arbitrary t, by Horner's rule in real arithmetic.
+
+    One sincos per point, then O(K) multiply-adds; w(t, cos t, sin t) gives
+    (Re w, Im w).  A float array for an array t, a Python float for a 0-d
+    t, and zeros without a sincos when there are no terms.
+    """
+    t = np.asarray(t, dtype=float)
+    if not terms:
+        return np.zeros(t.shape) if t.shape else 0.0
+    c, s = np.cos(t), np.sin(t)
+    if not t.shape:
+        t, c, s = float(t), float(c), float(s)
+    re, im = terms[-1].real, terms[-1].imag
+    for q in terms[-2::-1]:
+        re, im = re * c - im * s + q.real, re * s + im * c + q.imag
+    wr, wi = w(t, c, s)
+    return wr * re - wi * im
+
+
+def _z(t, c, s):
+    """e^{it}."""
+    return c, s
+
+
+def _z_minus_one(t, c, s):
+    """e^{it} - 1 = -2 sin^2(t/2) + i sin t: exactly 0 at t = 0, accurate near it."""
+    h = np.sin(0.5 * t)
+    return -2.0 * h * h, s
+
+
+def _tails(x: np.ndarray) -> list:
+    """F_j = sum_{k>j} x_k, j = 0..K-1: sum_k x_k (z^k - 1) = (z - 1) sum_j F_j z^j."""
+    return np.cumsum(x[::-1])[::-1].tolist()
+
+
+def _float(out):
+    """A 0-d result as a Python float; arrays unchanged."""
+    return out if np.ndim(out) else float(out)
+
+
+def _irfft(n: int, const: float, d: np.ndarray) -> np.ndarray:
+    """const + Re sum_k d_k e^{ik t_j} at t_j = 2*pi*j/n, j < n, by one inverse real FFT.
+
+    X_0 = n const and X_k = (n/2) d_k; exact for K < n/2, and
+    InvalidGridError otherwise, since higher harmonics would alias.
+    """
+    if 2 * d.size >= n:
+        raise InvalidGridError(
+            f"a grid of {n} points aliases {d.size} harmonics; it needs more than {2 * d.size}"
+        )
+    x = np.zeros(n // 2 + 1, dtype=complex)
+    x[0] = n * const
+    x[1 : d.size + 1] = 0.5 * n * d
+    return np.fft.irfft(x, n)
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """Finite trigonometric polynomial a0 + sum(cos_k cos kt + sin_k sin kt)."""
@@ -47,16 +121,15 @@ class FourierSeries:
     sin: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cos", tuple(float(c) for c in self.cos))
-        object.__setattr__(self, "sin", tuple(float(s) for s in self.sin))
+        object.__setattr__(self, "cos", tuple(map(float, self.cos)))
+        object.__setattr__(self, "sin", tuple(map(float, self.sin)))
         object.__setattr__(self, "a0", float(self.a0))
         if len(self.cos) != len(self.sin):
             raise ValueError(
                 f"cos and sin coefficient lists differ in length: "
                 f"{len(self.cos)} vs {len(self.sin)}"
             )
-        values = (self.a0, *self.cos, *self.sin)
-        if not all(np.isfinite(values)):
+        if not np.isfinite((self.a0, *self.cos, *self.sin)).all():
             raise ValueError("all coefficients must be finite")
 
     @property
@@ -64,55 +137,80 @@ class FourierSeries:
         """Number of harmonics K (0 for a constant series)."""
         return len(self.cos)
 
+    @cached_property
+    def _d(self) -> np.ndarray:
+        """D_k = cos_k - i sin_k, k = 1..K: s(t) = a0 + Re sum_k D_k e^{ikt}."""
+        return np.array(self.cos) - 1j * np.array(self.sin)
+
+    @cached_property
+    def _ik(self) -> np.ndarray:
+        return 1j * np.arange(1, self.harmonics + 1)
+
+    @cached_property
+    def _value_terms(self) -> list:
+        return self._d.tolist()
+
+    @cached_property
+    def _slope_terms(self) -> list:
+        return (self._ik * self._d).tolist()
+
+    # The arbitrary-point path.
+
     def __call__(self, t):
         """Evaluate at t (scalar or array, radians)."""
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.a0)
-        for k, (ck, sk) in enumerate(zip(self.cos, self.sin), start=1):
-            out += ck * np.cos(k * t) + sk * np.sin(k * t)
-        return out if out.shape else float(out)
+        return self.a0 + _horner(self._value_terms, t, _z)
 
     def derivative_at(self, t):
         """Evaluate the derivative sum k(-cos_k sin kt + sin_k cos kt) at t."""
+        return _horner(self._slope_terms, t, _z)
+
+    def exp_weighted_integral(self, t):
+        """Closed form of int_0^t s(u) exp(-u) du; exactly 0 at t = 0.
+
+        Equals (1 - e^-t)(a0 - Re sum G_k) + e^-t Re sum G_k (e^{ikt} - 1)
+        with G_k = (cos_k - i sin_k)/(ik - 1).
+        """
         t = np.asarray(t, dtype=float)
-        out = np.zeros(t.shape)
-        for k, (ck, sk) in enumerate(zip(self.cos, self.sin), start=1):
-            out += k * (-ck * np.sin(k * t) + sk * np.cos(k * t))
-        return out if out.shape else float(out)
+        g = self._d / (self._ik - 1.0)
+        lead = self.a0 - float(g.real.sum())
+        return _float(-np.expm1(-t) * lead + np.exp(-t) * _horner(_tails(g), t, _z_minus_one))
+
+    def integral_from_zero(self, t):
+        """Evaluate int_0^t s(u) du (a linear term plus a trigonometric polynomial).
+
+        Exactly 0 at t = 0.
+        """
+        t = np.asarray(t, dtype=float)
+        return _float(self.a0 * t + _horner(_tails(self._d / self._ik), t, _z_minus_one))
+
+    # The uniform-grid path: t_j = 2*pi*j/n, j < n.
+
+    def _on_grid(self, n: int) -> np.ndarray:
+        """Values at the n grid angles (`__call__` there), by one inverse real FFT.
+
+        Kept per n and read-only: the checks of one build, and every
+        `subfunction_bound` call on one profile, share a single transform.
+        """
+        grids = self.__dict__.setdefault("_grids", {})
+        if n not in grids:
+            grids[n] = _irfft(n, self.a0, self._d)
+            grids[n].flags.writeable = False
+        return grids[n]
+
+    def _integral_on_grid(self, n: int) -> np.ndarray:
+        """int_0^t s at the n grid angles (`integral_from_zero` there).
+
+        The constant is subtracted in the coefficients, so t_0 = 0 gives a
+        rounding residue rather than an exact 0.
+        """
+        e = self._d / self._ik
+        periodic = _irfft(n, -float(e.real.sum()), e)
+        return self.a0 * (np.arange(n) * (TWO_PI / n)) + periodic
 
     def derivative(self) -> "FourierSeries":
         """Termwise derivative as a new series (constant term drops)."""
-        ks = range(1, self.harmonics + 1)
-        return FourierSeries(
-            0.0,
-            tuple(k * sk for k, sk in zip(ks, self.sin)),
-            tuple(-k * ck for k, ck in zip(ks, self.cos)),
-        )
-
-    def exp_weighted_integral(self, t):
-        """Closed form of int_0^t s(u) exp(-u) du.
-
-        Uses the antiderivatives
-
-            int_0^t cos(ku) e^-u du = (1 + k sin(kt) e^-t - cos(kt) e^-t)/(1+k^2)
-            int_0^t sin(ku) e^-u du = (k - k cos(kt) e^-t - sin(kt) e^-t)/(1+k^2)
-        """
-        t = np.asarray(t, dtype=float)
-        et = np.exp(-t)
-        out = self.a0 * (1.0 - et)
-        for k, (ck, sk) in enumerate(zip(self.cos, self.sin), start=1):
-            ckt, skt = np.cos(k * t), np.sin(k * t)
-            out += ck * (1.0 + k * skt * et - ckt * et) / (1 + k * k)
-            out += sk * (k - k * ckt * et - skt * et) / (1 + k * k)
-        return out if out.shape else float(out)
-
-    def integral_from_zero(self, t):
-        """Evaluate int_0^t s(u) du (a linear term plus a trigonometric polynomial)."""
-        t = np.asarray(t, dtype=float)
-        out = self.a0 * t
-        for k, (ck, sk) in enumerate(zip(self.cos, self.sin), start=1):
-            out += ck * np.sin(k * t) / k + sk * (1.0 - np.cos(k * t)) / k
-        return out if out.shape else float(out)
+        d = self._ik * self._d
+        return FourierSeries(0.0, d.real.tolist(), (-d.imag).tolist())
 
     def mean(self) -> float:
         """Average over one period (the constant term)."""
@@ -149,25 +247,23 @@ class FourierSeries:
         """
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        ca, cb = _complex_coeffs(self), _complex_coeffs(other)
-        prod = np.convolve(ca, cb)
-        kmax = self.harmonics + other.harmonics
-        mid = kmax  # index of the zero mode
-        a0 = prod[mid].real
-        cos = tuple(2.0 * prod[mid + k].real for k in range(1, kmax + 1))
-        sin = tuple(-2.0 * prod[mid + k].imag for k in range(1, kmax + 1))
-        return FourierSeries(a0, cos, sin)
+        prod = np.convolve(_complex_coeffs(self), _complex_coeffs(other))
+        half = prod[self.harmonics + other.harmonics :]  # modes 0..K
+        return FourierSeries(
+            half[0].real, (2.0 * half[1:].real).tolist(), (-2.0 * half[1:].imag).tolist()
+        )
 
 
 def _complex_coeffs(s: FourierSeries) -> np.ndarray:
     """Coefficients c_m, m = -K..K, of s as sum c_m exp(i m t)."""
-    k = s.harmonics
-    c = np.zeros(2 * k + 1, dtype=complex)
-    c[k] = s.a0
-    for j, (cj, sj) in enumerate(zip(s.cos, s.sin), start=1):
-        c[k + j] = 0.5 * (cj - 1j * sj)
-        c[k - j] = 0.5 * (cj + 1j * sj)
-    return c
+    half = 0.5 * s._d
+    return np.concatenate((half[::-1].conj(), [s.a0], half))
+
+
+def _harmonics(cos, sin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k = 1..K with the cosine and sine coefficients, as arrays."""
+    c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
+    return np.arange(1, c.size + 1), c, s
 
 
 def solve_a0(cos: tuple[float, ...], sin: tuple[float, ...]) -> float:
@@ -176,10 +272,8 @@ def solve_a0(cos: tuple[float, ...], sin: tuple[float, ...]) -> float:
     Returns 1 - sum (cos_k + k sin_k)/(1+k^2) so that the resulting weight
     series satisfies condition (i) by construction.
     """
-    return 1.0 - sum(
-        (ck + k * sk) / (1 + k * k)
-        for k, (ck, sk) in enumerate(zip(cos, sin), start=1)
-    )
+    k, c, s = _harmonics(cos, sin)
+    return 1.0 - float(((c + k * s) / (1 + k * k)).sum())
 
 
 @dataclass(frozen=True)
@@ -212,13 +306,12 @@ def check_weight(
 ) -> WeightReport:
     """Check the three admissibility conditions for a weight series.
 
-    The positivity margin is the minimum over a uniform grid of grid_n
-    points on [0, 2*pi) of
+    The positivity margin is the minimum over the uniform grid of grid_n
+    points on [0, 2*pi) of the reciprocal profile the series generates,
 
-        a0 - sum [ (k cos_k - sin_k) sin(kt) - (cos_k + k sin_k) cos(kt) ] / (1+k^2),
+        a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2),
 
-    which equals the reciprocal profile the series generates, evaluated at t:
-    expanded, it has exactly that profile's coefficients.
+    whose complex coefficients are D_k/(1 - ik); one inverse FFT samples it.
 
     Raises InvalidGridError when grid_n is below 4K+16.
     """
@@ -227,28 +320,16 @@ def check_weight(
             f"grid_n={grid_n} below resolution bound {min_grid_points(series)} "
             f"for {series.harmonics} harmonics"
         )
-    residual = abs(
-        series.a0
-        + sum(
-            (ck + k * sk) / (1 + k * k)
-            for k, (ck, sk) in enumerate(zip(series.cos, series.sin), start=1)
-        )
-        - 1.0
-    )
-    ts = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
-    rhs = np.zeros(grid_n)
-    for k, (ck, sk) in enumerate(zip(series.cos, series.sin), start=1):
-        rhs += ((k * ck - sk) * np.sin(k * ts) - (ck + k * sk) * np.cos(k * ts)) / (1 + k * k)
-    margin = float(series.a0 - rhs.max())
-    slack = 2.0 * series.a0 - sum(
-        (ck * ck + sk * sk) * (k * k - 1) / (k * k + 1)
-        for k, (ck, sk) in enumerate(zip(series.cos, series.sin), start=1)
-    )
+    k, c, s = _harmonics(series.cos, series.sin)
+    residual = abs(series.a0 + float(((c + k * s) / (1 + k * k)).sum()) - 1.0)
+    profile = _irfft(grid_n, series.a0, series._d / (1.0 - series._ik))
+    margin = float(profile.min())
+    slack = 2.0 * series.a0 - float(((c * c + s * s) * (k * k - 1) / (k * k + 1)).sum())
     verdict = residual <= tol_eq and margin > delta_strict and slack >= -tol_eq
     return WeightReport(
         identity_residual=residual,
         positivity_margin=margin,
-        energy_slack=float(slack),
+        energy_slack=slack,
         grid_size=grid_n,
         verdict=verdict,
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from circleloop import FourierSeries, check_weight, simpson_quadrature, solve_a0
@@ -16,6 +18,99 @@ def brute_eval(s: FourierSeries, t: float) -> float:
     for k in range(1, s.harmonics + 1):
         total += s.cos[k - 1] * math.cos(k * t) + s.sin[k - 1] * math.sin(k * t)
     return total
+
+
+def explicit_sums(s: FourierSeries, t, kt):
+    """Value, derivative, int_0^t and int_0^t e^-u of s at t, summed harmonic by harmonic.
+
+    kt[k-1, p] is the angle k t_p, passed in so that the caller can form it
+    exactly; the closed forms per harmonic are the textbook antiderivatives.
+    """
+    k = np.arange(1, s.harmonics + 1)[:, None]
+    a, b = np.array(s.cos)[:, None], np.array(s.sin)[:, None]
+    cos, sin, e = np.cos(kt), np.sin(kt), np.exp(-t)
+    value = s.a0 + (a * cos + b * sin).sum(axis=0)
+    slope = (k * (b * cos - a * sin)).sum(axis=0)
+    integral = s.a0 * t + ((a * sin + b * (1.0 - cos)) / k).sum(axis=0)
+    weighted = s.a0 * (1.0 - e) + (
+        (a * (1.0 + k * sin * e - cos * e) + b * (k - k * cos * e - sin * e)) / (1 + k * k)
+    ).sum(axis=0)
+    return value, slope, integral, weighted
+
+
+def random_series(k: int, seed: int) -> FourierSeries:
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=2 * k + 1)
+    return FourierSeries(x[0], x[1 : k + 1], x[k + 1 :])
+
+
+def coefficient_sizes(s: FourierSeries) -> tuple[float, float]:
+    """sum |coefficients| and sum k (|cos_k| + |sin_k|), the scales of value and slope."""
+    k = np.arange(1, s.harmonics + 1)
+    ab = np.abs(s.cos) + np.abs(s.sin)
+    return abs(s.a0) + float(ab.sum()), float((k * ab).sum())
+
+
+DEGREES = st.sampled_from([0, 1, 2, 8, 64, 256])
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestEvaluatorPaths:
+    """Both evaluator paths against explicit sums, to 1e-13 of the coefficient scale."""
+
+    @PROPERTY
+    @given(k=DEGREES, seed=SEEDS, ticks=st.lists(st.integers(-2048, 3072), min_size=1, max_size=12))
+    def test_points_match_explicit_sums(self, k, seed, ticks):
+        s = random_series(k, seed)
+        # t = m/512 has at most 12 significant bits, so k*t is exact for k <= 256
+        t = np.array(ticks) / 512.0
+        value, slope, integral, weighted = explicit_sums(s, t, np.arange(1, k + 1)[:, None] * t)
+        size, k_size = coefficient_sizes(s)
+        assert np.all(np.abs(s(t) - value) <= 1e-13 * size)
+        assert np.all(np.abs(s.derivative_at(t) - slope) <= 1e-13 * k_size)
+        err = np.abs(s.integral_from_zero(t) - integral)
+        assert np.all(err <= 1e-13 * size * np.maximum(1.0, np.abs(t)))
+        err = np.abs(s.exp_weighted_integral(t) - weighted)
+        assert np.all(err <= 1e-13 * size * np.maximum(1.0, np.exp(-t)))
+
+    @PROPERTY
+    @given(k=DEGREES, seed=SEEDS, extra=st.integers(1, 64))
+    def test_grid_matches_explicit_sums(self, k, seed, extra):
+        s = random_series(k, seed)
+        n = 2 * k + extra  # the smallest grids that do not alias K harmonics
+        j = np.arange(n)
+        # k t_j reduced exactly: 2 pi ((k j) mod n) / n
+        kt = TWO_PI * (np.outer(np.arange(1, k + 1), j) % n) / n
+        value, slope, integral, _ = explicit_sums(s, j * (TWO_PI / n), kt)
+        size, k_size = coefficient_sizes(s)
+        assert np.all(np.abs(s._on_grid(n) - value) <= 1e-13 * size)
+        assert np.all(np.abs(s.derivative()._on_grid(n) - slope) <= 1e-13 * k_size)
+        assert np.all(np.abs(s._integral_on_grid(n) - integral) <= 1e-13 * size * max(1.0, TWO_PI))
+
+    @PROPERTY
+    @given(k=DEGREES, seed=SEEDS, rows=st.integers(1, 4), cols=st.integers(1, 5))
+    def test_shapes_and_exact_zeros(self, k, seed, rows, cols):
+        s = random_series(k, seed)
+        methods = (s, s.derivative_at, s.integral_from_zero, s.exp_weighted_integral)
+        for method in methods:
+            assert type(method(0.7)) is float
+            assert type(method(np.float64(0.7))) is float
+            assert method(np.full((rows, cols), 0.7)).shape == (rows, cols)
+        assert s.integral_from_zero(0.0) == 0.0
+        assert s.exp_weighted_integral(0.0) == 0.0
+        assert np.all(s.integral_from_zero(np.zeros((rows, cols))) == 0.0)
+        assert np.all(s.exp_weighted_integral(np.zeros((rows, cols))) == 0.0)
+
+    @PROPERTY
+    @given(k=DEGREES, short=st.integers(0, 512))
+    def test_grid_refuses_aliasing(self, k, short):
+        s = random_series(k, 0)
+        n = 2 * k - min(short, 2 * k)  # K >= n/2
+        with pytest.raises(InvalidGridError):
+            s._on_grid(n)
+        with pytest.raises(InvalidGridError):
+            s._integral_on_grid(n)
 
 
 class TestEvaluation:
