@@ -123,15 +123,10 @@ class LoopSpec:
         """Profile value f(t) = 1/f_inv(t)."""
         return 1.0 / self.f_inv(t)
 
-    def f_prime(self, t):
-        """Profile slope f'(t) = -f_inv'(t)/f_inv(t)^2."""
-        fh = self.f_inv(t)
-        return -self.f_inv.derivative_at(t) / (fh * fh)
 
-
-def uniform_grid(n: int, *, endpoint: bool = False) -> np.ndarray:
-    """n (or n+1 with endpoint) equally spaced angles starting at 0."""
-    return np.linspace(0.0, TWO_PI, n + 1 if endpoint else n, endpoint=endpoint)
+def uniform_grid(n: int) -> np.ndarray:
+    """n equally spaced angles on [0, 2*pi), starting at 0."""
+    return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
 def f_inv_from_weight(
@@ -143,8 +138,9 @@ def f_inv_from_weight(
 ) -> FourierSeries:
     """Reciprocal profile generated by an admissible weight series.
 
-    Coefficient map: cos_k -> (a_k + k b_k)/(1+k^2),
-    sin_k -> (b_k - k a_k)/(1+k^2), constant term unchanged.  Agrees
+    Coefficient map (the weight's `_profile`, built once per weight):
+    cos_k -> (a_k + k b_k)/(1+k^2), sin_k -> (b_k - k a_k)/(1+k^2),
+    constant term unchanged.  Agrees
     pointwise with e^t (1 - int_0^t weight(u) e^-u du) whenever the weight
     identity holds.  With validate=True the weight is checked first and
     NotAdmissibleError raised on failure.
@@ -163,14 +159,7 @@ def f_inv_from_weight(
                 f"positivity margin {rep.positivity_margin:.3e}, "
                 f"energy slack {rep.energy_slack:.3e}"
             )
-    ks = range(1, weight.harmonics + 1)
-    cos = tuple(
-        (ak + k * bk) / (1 + k * k) for k, ak, bk in zip(ks, weight.cos, weight.sin)
-    )
-    sin = tuple(
-        (bk - k * ak) / (1 + k * k) for k, ak, bk in zip(ks, weight.cos, weight.sin)
-    )
-    return FourierSeries(weight.a0, cos, sin)
+    return weight._profile
 
 
 def weight_from_f_inv(f_inv: FourierSeries) -> FourierSeries:
@@ -183,15 +172,9 @@ def solve_g_const(cos: tuple[float, ...]) -> float:
     return -sum(cos)
 
 
-def profile_energy_series(f_inv: FourierSeries) -> FourierSeries:
-    """The trigonometric polynomial f_inv^2 - f_inv'^2 (exact coefficients)."""
-    d = f_inv.derivative()
-    return f_inv * f_inv - d * d
-
-
 def integral_inequality_value(f_inv: FourierSeries) -> float:
     """int_0^{2pi} (f_inv^2 - f_inv'^2) dt; only the constant mode survives."""
-    return TWO_PI * profile_energy_series(f_inv).a0
+    return TWO_PI * f_inv._energy.a0
 
 
 def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
@@ -200,14 +183,14 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     h solves h' + h f_inv'/f_inv + f_inv'^2/f_inv - f_inv = 0 with h(0) = 0
     and h'(0) = 1 - f_inv'(0)^2; an admissible shear must satisfy
     g(t) > -h(t) on (0, 2*pi).  The integrand is a trigonometric
-    polynomial, so the integral is evaluated from exact coefficients.
+    polynomial, built once per profile, so the integral is evaluated from
+    exact coefficients.
 
     Raises NonPositiveProfileError if f_inv is not strictly positive on
     the check grid.
     """
     _positive_on_grid(f_inv, max(grid_n, min_grid_points(f_inv)))
-    energy = profile_energy_series(f_inv)
-    return energy.integral_from_zero(t) / f_inv(t)
+    return f_inv._energy.integral_from_zero(t) / f_inv(t)
 
 
 def _positive_on_grid(f_inv: FourierSeries, n: int) -> np.ndarray:
@@ -264,7 +247,7 @@ def check_g_bound(
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     fh = _positive_on_grid(f_inv, n)
-    h = profile_energy_series(f_inv)._integral_on_grid(n) / fh
+    h = f_inv._energy._integral_on_grid(n) / fh
     vals = (g._on_grid(n) + h)[1:]
     i = int(vals.argmin())
     return float(vals[i]), float(uniform_grid(n)[i + 1])

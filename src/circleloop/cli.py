@@ -28,7 +28,7 @@ import numpy as np
 from . import ops, verify
 from .builder import LoopSpec, Tolerances, _discriminant, build_loop_spec, subfunction_bound
 from .errors import SpecFileError, UnknownSuiteError
-from .fourier import TWO_PI
+from .fourier import DEFAULT_GRID, TWO_PI
 from .specfile import load_spec_file
 
 EXIT_OK = 0
@@ -47,7 +47,7 @@ def _build(path: str, options: dict) -> LoopSpec:
         doc = load_spec_file(path)
     except SpecFileError as exc:
         _fail(str(exc), EXIT_ERROR)
-    grid_n = options["grid"] or doc.grid_n or 4096
+    grid_n = options["grid"] or doc.grid_n or DEFAULT_GRID
     tol = doc.tolerances or Tolerances()
     overrides = {
         name: options[name]
@@ -69,6 +69,14 @@ def _require_valid(spec: LoopSpec) -> None:
 
 def _angle(value: float, degrees: bool) -> float:
     return float(value) * np.pi / 180.0 if degrees else float(value)
+
+
+def _print_operation(ctx: click.Context, spec_path: str, op, x: float, y: float) -> None:
+    """Build and require a valid spec, then print op(spec, x, y) in radians."""
+    spec = _build(spec_path, ctx.obj)
+    _require_valid(spec)
+    d = ctx.obj["degrees"]
+    click.echo(f"{_snap(op(spec, _angle(x, d), _angle(y, d))):.12f}")
 
 
 def _snap(angle):
@@ -170,10 +178,7 @@ def validate(ctx: click.Context, spec_path: str) -> None:
 @click.pass_context
 def mul(ctx: click.Context, spec_path: str, s: float, t: float) -> None:
     """Print the loop product S * T in radians."""
-    spec = _build(spec_path, ctx.obj)
-    _require_valid(spec)
-    d = ctx.obj["degrees"]
-    click.echo(f"{_snap(ops.mul(spec, _angle(s, d), _angle(t, d))):.12f}")
+    _print_operation(ctx, spec_path, ops.mul, s, t)
 
 
 @cli.command()
@@ -183,10 +188,7 @@ def mul(ctx: click.Context, spec_path: str, s: float, t: float) -> None:
 @click.pass_context
 def ldiv(ctx: click.Context, spec_path: str, a: float, b: float) -> None:
     """Print the solution y of A * y = B."""
-    spec = _build(spec_path, ctx.obj)
-    _require_valid(spec)
-    d = ctx.obj["degrees"]
-    click.echo(f"{_snap(ops.ldiv(spec, _angle(a, d), _angle(b, d))):.12f}")
+    _print_operation(ctx, spec_path, ops.ldiv, a, b)
 
 
 @cli.command()
@@ -196,10 +198,7 @@ def ldiv(ctx: click.Context, spec_path: str, a: float, b: float) -> None:
 @click.pass_context
 def rdiv(ctx: click.Context, spec_path: str, b: float, a: float) -> None:
     """Print the solution x of x * A = B."""
-    spec = _build(spec_path, ctx.obj)
-    _require_valid(spec)
-    d = ctx.obj["degrees"]
-    click.echo(f"{_snap(ops.rdiv(spec, _angle(b, d), _angle(a, d))):.12f}")
+    _print_operation(ctx, spec_path, ops.rdiv, b, a)
 
 
 @cli.command()

@@ -19,12 +19,17 @@ picks: at arbitrary points, Horner's rule in real arithmetic on
 uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2.
 Through e^{ikt} - 1 = (z - 1) sum_{j<k} z^j, with z - 1 = -2 sin^2(t/2) + i sin t,
 both integrals are exactly 0 at t = 0.  No coefficient is ever estimated
-from samples.
+from samples.  Each series builds its derived series (derivative, energy
+s^2 - s'^2) and its samples on each grid once.
 
-A weight series is admissible when it satisfies three conditions:
+A weight series w generates the reciprocal profile
+F(t) = e^t (1 - int_0^t w(u) e^-u du): F keeps a0 and maps D_k to
+D_k/(1 - ik), exactly once identity (i) below holds.  `_profile` is that
+map, built once per weight.  A weight series is admissible when it
+satisfies three conditions:
 
   (i)   a0 + sum (cos_k + k sin_k)/(1+k^2) = 1          (exact identity),
-  (ii)  the reciprocal profile it generates stays strictly positive,
+  (ii)  the reciprocal profile F stays strictly positive,
   (iii) 2 a0 >= sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)   (energy bound).
 
 Condition (ii) is a strict inequality on a continuum; it is checked on a
@@ -151,8 +156,26 @@ class FourierSeries:
         return self._d.tolist()
 
     @cached_property
-    def _slope_terms(self) -> list:
-        return (self._ik * self._d).tolist()
+    def _derivative(self) -> "FourierSeries":
+        d = self._ik * self._d
+        return FourierSeries(0.0, d.real.tolist(), (-d.imag).tolist())
+
+    @cached_property
+    def _profile(self) -> "FourierSeries":
+        """The reciprocal profile this series generates as a weight: a0 kept,
+        D_k -> D_k/(1 - ik)."""
+        k = np.arange(1, self.harmonics + 1)
+        c, s = np.array(self.cos), np.array(self.sin)
+        return FourierSeries(
+            self.a0, ((c + k * s) / (1 + k * k)).tolist(), ((s - k * c) / (1 + k * k)).tolist()
+        )
+
+    @cached_property
+    def _energy(self) -> "FourierSeries":
+        """s^2 - s'^2 with exact coefficients; for a reciprocal profile, the
+        integrand of the comparison bound and of the integral inequality."""
+        d = self.derivative()
+        return self * self - d * d
 
     # The arbitrary-point path.
 
@@ -162,7 +185,7 @@ class FourierSeries:
 
     def derivative_at(self, t):
         """Evaluate the derivative sum k(-cos_k sin kt + sin_k cos kt) at t."""
-        return _horner(self._slope_terms, t, _z)
+        return _horner(self.derivative()._value_terms, t, _z)
 
     def exp_weighted_integral(self, t):
         """Closed form of int_0^t s(u) exp(-u) du; exactly 0 at t = 0.
@@ -208,13 +231,8 @@ class FourierSeries:
         return self.a0 * (np.arange(n) * (TWO_PI / n)) + periodic
 
     def derivative(self) -> "FourierSeries":
-        """Termwise derivative as a new series (constant term drops)."""
-        d = self._ik * self._d
-        return FourierSeries(0.0, d.real.tolist(), (-d.imag).tolist())
-
-    def mean(self) -> float:
-        """Average over one period (the constant term)."""
-        return self.a0
+        """Termwise derivative as a series (constant term drops), built once."""
+        return self._derivative
 
     def reflected(self) -> "FourierSeries":
         """The series t |-> s(-t): sine coefficients change sign."""
@@ -260,20 +278,13 @@ def _complex_coeffs(s: FourierSeries) -> np.ndarray:
     return np.concatenate((half[::-1].conj(), [s.a0], half))
 
 
-def _harmonics(cos, sin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k = 1..K with the cosine and sine coefficients, as arrays."""
-    c, s = np.asarray(cos, dtype=float), np.asarray(sin, dtype=float)
-    return np.arange(1, c.size + 1), c, s
-
-
 def solve_a0(cos: tuple[float, ...], sin: tuple[float, ...]) -> float:
     """Constant term making the admissibility identity exact.
 
     Returns 1 - sum (cos_k + k sin_k)/(1+k^2) so that the resulting weight
     series satisfies condition (i) by construction.
     """
-    k, c, s = _harmonics(cos, sin)
-    return 1.0 - float(((c + k * s) / (1 + k * k)).sum())
+    return 1.0 - float(np.sum(FourierSeries(0.0, cos, sin)._profile.cos))
 
 
 @dataclass(frozen=True)
@@ -309,9 +320,10 @@ def check_weight(
     The positivity margin is the minimum over the uniform grid of grid_n
     points on [0, 2*pi) of the reciprocal profile the series generates,
 
-        a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2),
+        a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2);
 
-    whose complex coefficients are D_k/(1 - ik); one inverse FFT samples it.
+    the identity residual reads the cosine sum of the same series, and its
+    grid samples are the ones the builder's positivity check reads.
 
     Raises InvalidGridError when grid_n is below 4K+16.
     """
@@ -320,10 +332,11 @@ def check_weight(
             f"grid_n={grid_n} below resolution bound {min_grid_points(series)} "
             f"for {series.harmonics} harmonics"
         )
-    k, c, s = _harmonics(series.cos, series.sin)
-    residual = abs(series.a0 + float(((c + k * s) / (1 + k * k)).sum()) - 1.0)
-    profile = _irfft(grid_n, series.a0, series._d / (1.0 - series._ik))
-    margin = float(profile.min())
+    profile = series._profile
+    residual = abs(series.a0 + float(np.sum(profile.cos)) - 1.0)
+    margin = float(profile._on_grid(grid_n).min())
+    k = np.arange(1, series.harmonics + 1)
+    c, s = np.array(series.cos), np.array(series.sin)
     slack = 2.0 * series.a0 - float(((c * c + s * s) * (k * k - 1) / (k * k + 1)).sum())
     verdict = residual <= tol_eq and margin > delta_strict and slack >= -tol_eq
     return WeightReport(

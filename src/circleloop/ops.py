@@ -1,16 +1,21 @@
 """The loop itself: section evaluation, multiplication, divisions, and
 the conjugate-transversal angle functions used to certify sharp transitivity.
 
-The loop lives on coset angles in [0, 2*pi).  With sigma(s) the section
-matrix at s, multiplication is
+The loop lives on coset angles in [0, 2*pi).  With sigma(s) =
+rot(s) @ U(s) the section matrix at s, U = [[f, g], [0, f_inv]],
+multiplication is
 
     s * t = angle_of( sigma(s) @ rot(t) ),
 
 which has identity 0 and, for a valid spec, strictly increasing degree-1
-left and right translations.  Left division is closed form: a * y = b says
-the first column of rot(y) is a positive multiple of
-sigma(a)^-1 @ (cos b, -sin b).  Right division is solved by bisection on
-the monotone lift of the right translation.
+left and right translations.  Left division is closed form: a * y = b
+says y is the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a),
+with U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection
+on the monotone lift of the right translation.
+
+One kernel, `_coset_angle`, gives the coset angle of
+rot(x) @ [[p, q], [0, r]] @ rot(y); multiplication, left division and
+the left and right translation lifts below are each one call of it.
 
 For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
@@ -31,6 +36,7 @@ import numpy as np
 from .builder import LoopSpec
 from .errors import InvalidSpecError, RootNotBracketedError
 from .fourier import TWO_PI
+from .sl2 import rot
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
@@ -50,20 +56,26 @@ def _require_valid(spec: LoopSpec) -> None:
         raise InvalidSpecError(f"spec failed validation ({names})")
 
 
-def _section_entries(spec: LoopSpec, s):
-    """Entries of sigma(s) for scalar or array s."""
-    fh = spec.f_inv(s)
-    f = 1.0 / fh
-    g = spec.g(s)
-    cs, ss = np.cos(s), np.sin(s)
-    return cs * f, cs * g + ss * fh, -ss * f, -ss * g + cs * fh
+def _coset_angle(p, q, r, x, y):
+    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi].
+
+    The one formula behind every loop operation and translation lift: the
+    first column of [[p, q], [0, r]] @ rot(y) is (p cos y - q sin y,
+    -r sin y), rotated by x in matrix form, which stays smooth where a
+    tan-quotient formula has poles.
+    """
+    cy, sy = np.cos(y), np.sin(y)
+    radial, rs = p * cy - q * sy, r * sy
+    cx, sx = np.cos(x), np.sin(x)
+    return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
 
 def section(spec: LoopSpec, t: float) -> SectionPoint:
     """Section matrix at angle t; the identity matrix at t in 2*pi*Z."""
     _require_valid(spec)
-    m11, m12, m21, m22 = _section_entries(spec, float(t))
-    return SectionPoint(float(t), np.array([[m11, m12], [m21, m22]]))
+    t = float(t)
+    fh = spec.f_inv(t)
+    return SectionPoint(t, rot(t) @ np.array([[1.0 / fh, spec.g(t)], [0.0, fh]]))
 
 
 def mul(spec: LoopSpec, s, t):
@@ -74,12 +86,8 @@ def mul(spec: LoopSpec, s, t):
 
 def _mul_unchecked(spec: LoopSpec, s, t):
     s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    m11, m12, m21, m22 = _section_entries(spec, s)
-    ct, st = np.cos(t), np.sin(t)
-    b11 = m11 * ct - m12 * st
-    b21 = m21 * ct - m22 * st
-    ang = np.arctan2(-b21, b11) % TWO_PI
+    fh = spec.f_inv(s)
+    ang = _coset_angle(1.0 / fh, spec.g(s), fh, s, np.asarray(t, dtype=float)) % TWO_PI
     return ang if ang.shape else float(ang)
 
 
@@ -95,13 +103,10 @@ def ldiv(spec: LoopSpec, a, b):
 
 
 def _ldiv_unchecked(spec: LoopSpec, a, b):
+    # sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with U(a)^-1 = [[f_inv, -g], [0, f]]
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    # angle of sigma(a)^-1 @ (cos b, -sin b); det sigma(a) = 1, so the
-    # inverse is [[m22, -m12], [-m21, m11]]
-    m11, m12, m21, m22 = _section_entries(spec, a)
-    cb, sb = np.cos(b), np.sin(b)
-    y = np.arctan2(m21 * cb + m11 * sb, m22 * cb + m12 * sb) % TWO_PI
+    fh = spec.f_inv(a)
+    y = _coset_angle(fh, -spec.g(a), 1.0 / fh, 0.0, np.asarray(b, dtype=float) - a) % TWO_PI
     return y if y.shape else float(y)
 
 
@@ -148,11 +153,9 @@ def _translation_lifts(spec: LoopSpec, anchors, ts, side: str) -> np.ndarray:
     t -> t * a_i - a_i = eta_{a_i}(t) (side "right"), unwrapped along ts
     and starting from the value at ts[0].  Both are the coset angle of
     rot(x) @ [[f(u), g(u)], [0, f_inv(u)]] @ rot(y), with (x, u, y) =
-    (0, a, t) on the left and (t - a, t, a) on the right: f_inv and g are
-    sampled once per anchor or once per angle, and the first column is
-    rotated in matrix form, which stays smooth where the tan-quotient
-    formula has poles.  The shift leaves every step and the winding of
-    the translation unchanged.
+    (0, a, t) on the left and (t - a, t, a) on the right, so f_inv and g
+    are sampled once per anchor or once per angle.  The shift leaves every
+    step and the winding of the translation unchanged.
     """
     anchors = np.asarray(anchors, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
@@ -161,14 +164,7 @@ def _translation_lifts(spec: LoopSpec, anchors, ts, side: str) -> np.ndarray:
     else:
         u, x, y = ts, ts - anchors, anchors
     fh = spec.f_inv(u)
-    f = 1.0 / fh
-    g = spec.g(u)
-    cy, sy = np.cos(y), np.sin(y)
-    radial = f * cy - g * sy
-    cx, sx = np.cos(x), np.sin(x)
-    s_comp = radial * sx + fh * sy * cx
-    c_comp = radial * cx - fh * sy * sx
-    return np.unwrap(np.arctan2(s_comp, c_comp), axis=-1)
+    return np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1)
 
 
 def _worst_step(lifts: np.ndarray) -> tuple[float, int, int, float, int]:

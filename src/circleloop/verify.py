@@ -47,9 +47,11 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     rdiv(x*a, a) must return x itself, which also exercises uniqueness of
     the solutions, not merely the residual of some solution.
 
-    Monotonicity scans the lifts of t -> a * t and t -> t * a for every
-    grid anchor a on a 4097-point grid; its violation is the worst
-    backward step, or the worst winding error once that reaches 1e-6.  For
+    Monotonicity scans, on a 4097-point grid, the lifts of t -> a * t for
+    every grid anchor a and of t -> t * a for the anchors in [0, pi):
+    t * (a + pi) is t * a turned by pi, with the same steps.  Its
+    violation is the worst backward step, or the worst winding error once
+    that reaches 1e-6.  For
     a valid spec every such map is a strictly increasing degree-1 circle
     map; a failing right translation is precisely a failure of sharp
     transitivity (two left translations carrying the anchor to the same
@@ -87,13 +89,13 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     cases += 2 * grid_n * grid_n
 
     ts = np.linspace(0.0, TWO_PI, 4097)
-    for side in ("left", "right"):
-        step, i, j, wind, _ = ops._worst_step(ops._translation_lifts(spec, angles, ts, side))
+    for side, anchors in (("left", angles), ("right", angles[angles < np.pi])):
+        step, i, j, wind, _ = ops._worst_step(ops._translation_lifts(spec, anchors, ts, side))
         violation = max(0.0, -step, 0.0 if wind < 1e-6 else wind)
         details.append(
-            (f"{side}-translation-monotonicity", (float(angles[i]), float(ts[j])), violation)
+            (f"{side}-translation-monotonicity", (float(anchors[i]), float(ts[j])), violation)
         )
-    cases += 2 * grid_n * 4096
+        cases += anchors.size * 4096
 
     worst = _worst(details)
     return SuiteResult("axioms", worst <= 1e-9, cases, worst, 1e-9, tuple(details))
@@ -149,7 +151,7 @@ def check_psl2_quotient(spec: LoopSpec, *, tol: float = 1e-9) -> bool:
     When true, the loop is a double cover of a loop whose left-translation
     group is the rotation quotient of the unimodular group by its center.
     """
-    return abs(float(spec.f_inv(np.pi)) - 1.0) < tol and abs(float(spec.g(np.pi))) < tol
+    return run_psl2_suite(spec).worst_violation < tol
 
 
 def run_psl2_suite(spec: LoopSpec) -> SuiteResult:

@@ -7,6 +7,7 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_discriminant,
+    check_weight,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -266,6 +267,31 @@ class TestBuildLoopSpec:
         assert math.isnan(spec.report.discriminant_max)
         conditions = {f.condition for f in spec.report.failures}
         assert "profile-positivity" in conditions
+
+    def test_weight_margin_is_profile_minimum(self):
+        # check_weight and the build read the same profile samples, bit for bit
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            cos, sin = tuple(rng.normal(0.0, 0.3, k)), tuple(rng.normal(0.0, 0.3, k))
+            w = FourierSeries(solve_a0(cos, sin), cos, sin)
+            assert check_weight(w, 4096).positivity_margin == build_loop_spec(w).report.f_inv_min
+
+    def test_energy_series_built_once(self, monkeypatch):
+        # f_inv * f_inv and f_inv' * f_inv', shared by every check of one build
+        calls = []
+        product = FourierSeries.__mul__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return product(a, b)
+
+        monkeypatch.setattr(FourierSeries, "__mul__", counted)
+        k = np.arange(1, 65)
+        cos, sin = tuple(0.2 / k**2), tuple(0.1 / k**2)
+        g = FourierSeries(solve_g_const(cos), cos, sin)
+        build_loop_spec(FourierSeries(solve_a0(cos, sin), cos, sin), g)
+        assert len(calls) == 2
 
     def test_grid_resolves_high_harmonics(self):
         cos = (0.0,) * 40 + (0.01,)

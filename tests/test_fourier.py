@@ -184,6 +184,10 @@ class TestDerivative:
         ts = rng.uniform(0, TWO_PI, 20)
         assert np.allclose(s.derivative()(ts), s.derivative_at(ts), atol=1e-14)
 
+    def test_derivative_series_built_once(self):
+        s = FourierSeries(0.9, (0.2, 0.1), (0.0, 0.3))
+        assert s.derivative() is s.derivative()
+
 
 class TestExpWeightedIntegral:
     def test_constant_full_period(self):

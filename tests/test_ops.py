@@ -18,6 +18,8 @@ from circleloop import (
     rdiv,
     rot,
     section,
+    solve_a0,
+    solve_g_const,
     transitivity_quadratic,
     upper,
 )
@@ -40,7 +42,16 @@ SPEC_FILES = sorted(p.name for p in SPEC_DIR.glob("*.json"))
 
 
 def spec_from_file(name: str):
-    """A fixture spec built as the CLI builds it, whatever its verdict."""
+    """A fixture spec built as the CLI builds it, whatever its verdict.
+
+    "k64" names an admissible spec with 64 harmonics in both f_inv and g.
+    """
+    if name == "k64":
+        k = np.arange(1, 65)
+        wc, ws, gc, gs = (tuple(x / k**2) for x in (0.2, 0.1, 0.02, 0.03))
+        return build_loop_spec(
+            FourierSeries(solve_a0(wc, ws), wc, ws), FourierSeries(solve_g_const(gc), gc, gs)
+        )
     doc = load_spec_file(SPEC_DIR / name)
     return build_loop_spec(
         doc.weight, doc.g, grid_n=doc.grid_n or 4096, tolerances=doc.tolerances or Tolerances()
@@ -119,9 +130,11 @@ class TestMul:
 
     def test_matches_matrix_oracle(self, shear_spec):
         rng = np.random.default_rng(59)
-        for s, t in rng.uniform(0, TWO_PI, (25, 2)):
-            m = section(shear_spec, float(s)).matrix @ rot(float(t))
-            assert circ_dist(mul(shear_spec, s, t), angle_of(m)) < 1e-12
+        for spec in (shear_spec, spec_from_file("k64")):
+            assert spec.verdict
+            for s, t in rng.uniform(0, TWO_PI, (25, 2)):
+                m = section(spec, float(s)).matrix @ rot(float(t))
+                assert circ_dist(mul(spec, s, t), angle_of(m)) < 1e-12
 
     def test_left_translation_monotone_degree_one(self, shear_spec):
         ts = np.linspace(0.0, TWO_PI, 4097)
@@ -157,7 +170,7 @@ class TestDivisions:
         x = rdiv(shear_spec, 2.0, 1.0)
         assert circ_dist(mul(shear_spec, x, 1.0), 2.0) < 1e-10
 
-    @pytest.mark.parametrize("name", SPEC_FILES)
+    @pytest.mark.parametrize("name", SPEC_FILES + ["k64"])
     def test_closed_form_ldiv_matches_bisection(self, name):
         spec = spec_from_file(name)
         rng = np.random.default_rng(73)

@@ -41,6 +41,11 @@ class TestAxiomSuite:
         # every reported violation carries a concrete location
         assert all(d[1] is not None for d in bad)
 
+    def test_right_translations_scanned_once(self, example_spec):
+        # 64 left anchors, but right anchors only in [0, pi): a + pi gives the same steps
+        res = run_axiom_suite(example_spec, 64)
+        assert res.cases_run == 2 * 64 + 2 * 64 * 64 + (64 + 32) * 4096
+
     def test_identity_checks_tight(self, example_spec):
         res = run_axiom_suite(example_spec, 32)
         ident = [d for d in res.details if d[0].startswith("identity")]
