@@ -6,32 +6,34 @@ the unimodular-matrix section
 
     t  |->  rot(t) @ [[f(t), g(t)], [0, 1/f(t)]].
 
-f is stored through its reciprocal f_inv = 1/f, the natural object: a
+f is stored through its reciprocal F = f_inv = 1/f, the natural object: a
 weight series w with admissible coefficients generates
 
-    f_inv(t) = e^t (1 - int_0^t w(u) e^-u du)
-             = a0 + sum [ (a_k + k b_k) cos kt + (b_k - k a_k) sin kt ] / (1+k^2),
+    F(t) = e^t (1 - int_0^t w(u) e^-u du)
+         = a0 + sum [ (a_k + k b_k) cos kt + (b_k - k a_k) sin kt ] / (1+k^2),
 
-a trigonometric polynomial with f_inv(0) = f_inv(2*pi) = 1 forced by the
-weight identity.  Conversely w = f_inv - f_inv'.
+a trigonometric polynomial with F(0) = F(2*pi) = 1 forced by the weight
+identity.  Conversely w = F - F'.
 
-The section defines a loop multiplication exactly when, for every real w,
+The section defines a loop multiplication exactly when the discriminant
+f'^2 + g f^2 f' - g' f^3 - f^2 is negative everywhere.  Its product with
+F^4 is minus the admissibility polynomial
 
-    w^2 (g'f + g f' + g^2 f^2 + 1) + w (-2 f f' - 2 g f^3) + f^4  >  0,
+    Q = (gF)' + F^2 - F'^2 = g'F + gF' + F^2 - F'^2,
 
-which (the quadratic having positive constant term f^4) is equivalent to
-the pointwise discriminant condition
+a trigonometric polynomial of degree max(K_F + K_g, 2 K_F), so the
+verdict needs no division by F.  It is four conditions, decided on the
+build grid:
 
-    f'^2 + g f^2 f' - g' f^3 - f^2 < 0     for all t,
+    F(0) = 1,   g(0) = 0,   F > 0,   Q > 0.
 
-together with the initial-slope condition g'(0) > f'^2(0) - 1.  That pair
-is the authoritative admissibility test here.  A consequence, reported
-alongside, is the comparison bound g(t) > -h(t) on (0, 2*pi) with
+The report keeps three consequences of them as diagnostics, which decide
+nothing: the initial-slope margin Q(0) = g'(0) + 1 - F'(0)^2; the
+comparison bound g(t) + h(t) > 0 on (0, 2*pi), where
 
-    h(t) = (1/f_inv(t)) * int_0^t (f_inv^2 - f_inv'^2) du,
+    h(t) = (1/F(t)) * int_0^t (F^2 - F'^2) du,   F (g + h) = int_0^t Q;
 
-whose endpoint value gives the integral inequality
-int_0^{2pi} (f_inv^2 - f_inv'^2) dt >= 0.
+and the integral inequality int_0^{2pi} (F^2 - F'^2) dt = 2*pi mean(Q) > 0.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ class Tolerances:
 
     tol_eq: float = TOL_EQ           # equality residuals
     delta_strict: float = DELTA_STRICT  # required margin for strict inequalities on grids
-    tol_boundary: float = 1e-9       # |f(0)-1|, |g(0)|, |g(2pi)|
+    tol_boundary: float = 1e-9       # |f(0)-1|, |g(0)|
     tol_root: float = 1e-12          # bisection width for right division
-    tol_det: float = 1e-9            # determinant drift
 
 
 @dataclass(frozen=True)
@@ -77,29 +78,42 @@ class Failure:
 
 @dataclass(frozen=True)
 class DiscriminantCheck:
-    """Grid maximum of f'^2 + g f^2 f' - g' f^3 - f^2 (admissible iff < 0)."""
+    """The admissibility polynomial Q = g'F + gF' + F^2 - F'^2 on the grid.
 
-    max_value: float
+    q_min decides (admissible iff > 0).  The discriminant -Q/F^4 is a
+    diagnostic, NaN where F <= 0; initial_slope_margin is Q(0).
+    """
+
+    q_min: float
+    q_argmin: float
+    max_value: float             # grid maximum of the discriminant
     argmax: float
-    initial_slope_margin: float  # g'(0) - f'^2(0) + 1, must be > 0
+    initial_slope_margin: float
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structured outcome of every admissibility condition for one spec."""
+    """Structured outcome of the admissibility check for one spec.
+
+    The verdict is F(0) = 1 (weight identity and f0 residuals), g(0) = 0,
+    F > 0 and Q > 0 on the grid.  The discriminant, the initial-slope and
+    g-bound margins and the integral are diagnostics implied by them (NaN
+    where they need F > 0 and it fails).
+    """
 
     weight_check: WeightReport
     f_inv_min: float          # grid minimum of the reciprocal profile
     f_inv_argmin: float
     discriminant_max: float
     discriminant_argmax: float
+    q_min: float              # grid minimum of the admissibility polynomial Q
+    q_argmin: float
     initial_slope_margin: float
     g_bound_margin: float
     g_bound_argmin: float
     integral_value: float     # int_0^{2pi} (f_inv^2 - f_inv'^2) dt
     f0_residual: float
     g0_residual: float
-    g2pi_residual: float
     grid_n: int
     tolerances: Tolerances
     verdict: bool
@@ -204,38 +218,31 @@ def _positive_on_grid(f_inv: FourierSeries, n: int) -> np.ndarray:
     return fh
 
 
-def _discriminant(fh, fhp, g, gp):
-    """Pointwise f'^2 + g f^2 f' - g' f^3 - f^2 (f = 1/f_inv), from samples
-    of f_inv, f_inv', g and g' at the same angles.
-
-    Not finite where f_inv vanishes.
-    """
+def _admissibility_q(fh, fhp, g, gp):
+    """Q = g'F + gF' + F^2 - F'^2 and the discriminant -Q/F^4 (NaN where
+    F <= 0), from samples of F = f_inv, F', g and g' at the same angles."""
+    q = gp * fh + g * fhp + fh * fh - fhp * fhp
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 / fh
-        fp = -fhp / (fh * fh)
-        return fp * fp + g * f * f * fp - gp * f * f * f - f * f
+        return q, np.where(fh > 0.0, -q / fh**4, np.nan)
 
 
 def check_discriminant(
     f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
 ) -> DiscriminantCheck:
-    """Evaluate f'^2 + g f^2 f' - g' f^3 - f^2 on the grid (f = 1/f_inv).
+    """Sample Q = g'F + gF' + F^2 - F'^2 (F = f_inv) on the grid, once.
 
-    Returns the grid maximum (admissible iff < 0), where it is attained,
-    and the initial-slope margin g'(0) - f'^2(0) + 1 (must be > 0).
+    Returns its minimum (admissible iff > 0) and where it is attained, the
+    discriminant's maximum and where, and Q(0), the grid's first sample.
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     ts = uniform_grid(n)
-    disc = _discriminant(
+    q, disc = _admissibility_q(
         *(s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative()))
     )
-    if not np.all(np.isfinite(disc)):
-        bad = int(np.nonzero(~np.isfinite(disc))[0][0])
-        return DiscriminantCheck(float("nan"), float(ts[bad]), float("nan"))
-    i = int(disc.argmax())
-    fp0 = -f_inv.derivative_at(0.0) / f_inv(0.0) ** 2
-    slope_margin = g.derivative_at(0.0) - fp0 * fp0 + 1.0
-    return DiscriminantCheck(float(disc[i]), float(ts[i]), float(slope_margin))
+    i, j = int(q.argmin()), int(disc.argmax())
+    return DiscriminantCheck(
+        float(q[i]), float(ts[i]), float(disc[j]), float(ts[j]), float(q[0])
+    )
 
 
 def check_g_bound(
@@ -266,10 +273,6 @@ def _validate(
     wrep = check_weight(weight, n, tol_eq=tol.tol_eq, delta_strict=tol.delta_strict)
     if wrep.identity_residual > tol.tol_eq:
         failures.append(Failure("weight-identity", None, wrep.identity_residual))
-    if wrep.positivity_margin <= tol.delta_strict:
-        failures.append(Failure("weight-positivity", None, wrep.positivity_margin))
-    if wrep.energy_slack < -tol.tol_eq:
-        failures.append(Failure("weight-energy", None, wrep.energy_slack))
 
     fh = f_inv._on_grid(n)
     i = int(fh.argmin())
@@ -279,31 +282,16 @@ def _validate(
 
     f0_res = abs(float(f_inv(0.0)) - 1.0)
     g0_res = abs(float(g(0.0)))
-    g2pi_res = abs(float(g(TWO_PI)))
     if f0_res > tol.tol_boundary:
         failures.append(Failure("profile-boundary", 0.0, f0_res))
     if g0_res > tol.tol_boundary:
         failures.append(Failure("g-boundary", 0.0, g0_res))
-    if g2pi_res > tol.tol_boundary:
-        failures.append(Failure("g-boundary", TWO_PI, g2pi_res))
 
-    integral = integral_inequality_value(f_inv)
-    if integral < -tol.delta_strict:
-        failures.append(Failure("integral-inequality", None, integral))
-
-    # checks below need 1/f_inv; skip them (as NaN) when positivity already failed
-    if f_min > 0.0:
-        disc = check_discriminant(f_inv, g, n)
-        if not disc.max_value < -tol.delta_strict:
-            failures.append(Failure("discriminant", disc.argmax, disc.max_value))
-        if not disc.initial_slope_margin > tol.delta_strict:
-            failures.append(Failure("initial-slope", 0.0, disc.initial_slope_margin))
-        g_margin, g_argmin = check_g_bound(f_inv, g, n)
-        if not g_margin > tol.delta_strict:
-            failures.append(Failure("g-lower-bound", g_argmin, g_margin))
-    else:
-        disc = DiscriminantCheck(float("nan"), float("nan"), float("nan"))
-        g_margin, g_argmin = float("nan"), float("nan")
+    disc = check_discriminant(f_inv, g, n)
+    if not disc.q_min > tol.delta_strict:
+        failures.append(Failure("discriminant", disc.q_argmin, disc.q_min))
+    # the comparison bound divides by f_inv: NaN when positivity already failed
+    g_margin, g_argmin = check_g_bound(f_inv, g, n) if f_min > 0.0 else (np.nan, np.nan)
 
     return ValidationReport(
         weight_check=wrep,
@@ -311,13 +299,14 @@ def _validate(
         f_inv_argmin=f_argmin,
         discriminant_max=disc.max_value,
         discriminant_argmax=disc.argmax,
+        q_min=disc.q_min,
+        q_argmin=disc.q_argmin,
         initial_slope_margin=disc.initial_slope_margin,
         g_bound_margin=g_margin,
         g_bound_argmin=g_argmin,
-        integral_value=integral,
+        integral_value=integral_inequality_value(f_inv),
         f0_residual=f0_res,
         g0_residual=g0_res,
-        g2pi_residual=g2pi_res,
         grid_n=n,
         tolerances=tol,
         verdict=not failures,

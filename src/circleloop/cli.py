@@ -26,7 +26,7 @@ import click
 import numpy as np
 
 from . import ops, verify
-from .builder import LoopSpec, Tolerances, _discriminant, build_loop_spec, subfunction_bound
+from .builder import LoopSpec, Tolerances, _admissibility_q, build_loop_spec, subfunction_bound
 from .errors import SpecFileError, UnknownSuiteError
 from .fourier import DEFAULT_GRID, TWO_PI
 from .specfile import load_spec_file
@@ -91,7 +91,7 @@ def _report_header(spec: LoopSpec) -> None:
     t = r.tolerances
     click.echo(
         f"# grid_n={r.grid_n} tol_eq={t.tol_eq:g} delta_strict={t.delta_strict:g} "
-        f"tol_boundary={t.tol_boundary:g} tol_root={t.tol_root:g} tol_det={t.tol_det:g}"
+        f"tol_boundary={t.tol_boundary:g} tol_root={t.tol_root:g}"
     )
 
 
@@ -111,11 +111,13 @@ def _report_dict(spec: LoopSpec) -> dict:
         "profile_argmin": r.f_inv_argmin,
         "discriminant_max": r.discriminant_max,
         "discriminant_argmax": r.discriminant_argmax,
+        "q_min": r.q_min,
+        "q_argmin": r.q_argmin,
         "initial_slope_margin": r.initial_slope_margin,
         "g_bound_margin": r.g_bound_margin,
         "g_bound_argmin": r.g_bound_argmin,
         "integral_value": r.integral_value,
-        "boundary_residuals": [r.f0_residual, r.g0_residual, r.g2pi_residual],
+        "boundary_residuals": [r.f0_residual, r.g0_residual],
         "failures": [
             {"condition": f.condition, "where": f.where, "value": f.value}
             for f in r.failures
@@ -156,13 +158,11 @@ def validate(ctx: click.Context, spec_path: str) -> None:
     click.echo(f"weight energy slack      : {r.weight_check.energy_slack:.6g}")
     click.echo(f"profile minimum          : {r.f_inv_min:.6g} at t={r.f_inv_argmin:.6f}")
     click.echo(f"discriminant maximum     : {r.discriminant_max:.6g} at t={r.discriminant_argmax:.6f}")
+    click.echo(f"Q minimum                : {r.q_min:.6g} at t={r.q_argmin:.6f}")
     click.echo(f"initial slope margin     : {r.initial_slope_margin:.6g}")
     click.echo(f"g lower-bound margin     : {r.g_bound_margin:.6g} at t={r.g_bound_argmin:.6f}")
     click.echo(f"integral inequality      : {r.integral_value:.6g}")
-    click.echo(
-        "boundary residuals       : "
-        f"|f(0)-1|={r.f0_residual:.3g} |g(0)|={r.g0_residual:.3g} |g(2pi)|={r.g2pi_residual:.3g}"
-    )
+    click.echo(f"boundary residuals       : |f(0)-1|={r.f0_residual:.3g} |g(0)|={r.g0_residual:.3g}")
     for fail in r.failures:
         where = "" if fail.where is None else f" at t={fail.where:.6f}"
         click.echo(f"FAIL {fail.condition}{where}: {fail.value:.6g}")
@@ -235,7 +235,7 @@ def plot_data(ctx: click.Context, spec_path: str, out_path: str) -> None:
     fh, g = spec.f_inv(ts), spec.g(ts)
     f = 1.0 / fh
     h = subfunction_bound(spec.f_inv, ts, grid_n=n)
-    disc = _discriminant(fh, spec.f_inv.derivative_at(ts), g, spec.g.derivative_at(ts))
+    _, disc = _admissibility_q(fh, spec.f_inv.derivative_at(ts), g, spec.g.derivative_at(ts))
     lines = ["t,f,g,h,disc"]
     for row in zip(ts, f, g, h, disc):
         lines.append(",".join(f"{v:.12g}" for v in row))

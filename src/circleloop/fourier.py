@@ -30,14 +30,15 @@ satisfies three conditions:
 
   (i)   a0 + sum (cos_k + k sin_k)/(1+k^2) = 1          (exact identity),
   (ii)  the reciprocal profile F stays strictly positive,
-  (iii) 2 a0 >= sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)   (energy bound).
+  (iii) 2 a0^2 >= sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)  (energy bound),
 
-Condition (ii) is a strict inequality on a continuum; it is checked on a
-uniform grid of at least 4K+16 points together with a positive margin.
-Such a grid resolves every harmonic but decides nothing between its
-points.  The discriminant check in `builder` samples the same way, and its
-numerator has degree 2*max(K_F, K_g): a spec whose positive discriminant
-maximum falls between two samples is admitted.
+the last being 2 mean(F^2 - F'^2) >= 0.  Condition (ii) is a strict
+inequality on a continuum; it is checked on a uniform grid of at least
+4K+16 points together with a positive margin.  Such a grid resolves every
+harmonic but decides nothing between its points.  The admissibility
+polynomial Q in `builder` is sampled the same way, and has degree
+max(K_F + K_g, 2 K_F): a spec whose negative Q minimum falls between two
+samples is admitted.
 """
 
 from __future__ import annotations
@@ -293,7 +294,8 @@ class WeightReport:
 
     identity_residual   |a0 + sum (cos_k + k sin_k)/(1+k^2) - 1|
     positivity_margin   grid minimum of the generated reciprocal profile
-    energy_slack        2 a0 - sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)
+    energy_slack        2 a0^2 - sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1),
+                        that is 2 mean(F^2 - F'^2) for the profile F
     """
 
     identity_residual: float
@@ -322,8 +324,9 @@ def check_weight(
 
         a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2);
 
-    the identity residual reads the cosine sum of the same series, and its
-    grid samples are the ones the builder's positivity check reads.
+    the identity residual reads the cosine sum of the same series, the
+    energy slack the constant of its energy series, and its grid samples
+    are the ones the builder's positivity check reads.
 
     Raises InvalidGridError when grid_n is below 4K+16.
     """
@@ -335,9 +338,7 @@ def check_weight(
     profile = series._profile
     residual = abs(series.a0 + float(np.sum(profile.cos)) - 1.0)
     margin = float(profile._on_grid(grid_n).min())
-    k = np.arange(1, series.harmonics + 1)
-    c, s = np.array(series.cos), np.array(series.sin)
-    slack = 2.0 * series.a0 - float(((c * c + s * s) * (k * k - 1) / (k * k + 1)).sum())
+    slack = 2.0 * profile._energy.a0
     verdict = residual <= tol_eq and margin > delta_strict and slack >= -tol_eq
     return WeightReport(
         identity_residual=residual,

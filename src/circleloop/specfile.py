@@ -8,8 +8,7 @@ Schema (version 1):
       "g":   {"const": <number>, "cos": [<numbers>], "sin": [<numbers>]},
       "grid_n": <int>,            # optional
       "tolerances": {             # optional, any subset
-        "tol_eq": ..., "delta_strict": ..., "tol_boundary": ...,
-        "tol_root": ..., "tol_det": ...
+        "tol_eq": ..., "delta_strict": ..., "tol_boundary": ..., "tol_root": ...
       }
     }
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleloop import (
     FourierSeries,
@@ -18,7 +20,7 @@ from circleloop import (
     transitivity_quadratic,
     weight_from_f_inv,
 )
-from circleloop.builder import check_g_bound
+from circleloop.builder import _admissibility_q, check_g_bound, uniform_grid
 from circleloop.errors import NonPositiveProfileError, NotAdmissibleError
 
 from conftest import random_admissible_weight, random_admissible_spec
@@ -153,7 +155,8 @@ class TestDiscriminant:
         assert check.initial_slope_margin == pytest.approx(-1.0)
         spec = build_loop_spec(FourierSeries(1.0), g)
         assert not spec.report.verdict
-        assert "initial-slope" in {f.condition for f in spec.report.failures}
+        # Q(0) is the initial-slope margin, so the discriminant condition decides
+        assert "discriminant" in {f.condition for f in spec.report.failures}
 
     def test_sign_matches_quadratic_positivity(self):
         # the discriminant condition is exactly positivity of the
@@ -187,6 +190,81 @@ class TestDiscriminant:
             )
             agreements += (check.max_value < 0) == (quad_min > 0)
         assert agreements == 200
+
+
+def random_pair(k: int, seed: int, scale: float) -> tuple[FourierSeries, FourierSeries]:
+    """Weight and shear with k harmonics decaying like scale/k^2, weight identity and g(0) = 0 exact."""
+    rng = np.random.default_rng(seed)
+    c, s, gc, gs = (tuple(scale * rng.normal(size=k) / np.arange(1, k + 1) ** 2) for _ in range(4))
+    return FourierSeries(solve_a0(c, s), c, s), FourierSeries(solve_g_const(gc), gc, gs)
+
+
+def grid_samples(f_inv: FourierSeries, g: FourierSeries, n: int):
+    return [s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative())]
+
+
+def q_series(f_inv: FourierSeries, g: FourierSeries) -> FourierSeries:
+    """Q = (gF)' + F^2 - F'^2 with exact coefficients."""
+    return (g * f_inv).derivative() + f_inv._energy
+
+
+def coefficient_size(s: FourierSeries) -> float:
+    return abs(s.a0) + float(np.abs(s.cos).sum() + np.abs(s.sin).sum())
+
+
+Q_DEGREES = st.sampled_from([1, 2, 8, 64])
+Q_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+class TestAdmissibilityPolynomial:
+    """The verdict's polynomial Q = g'F + gF' + F^2 - F'^2, sampled on the build grid."""
+
+    @Q_PROPERTY
+    @given(k=Q_DEGREES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 0.5, 3.0]))
+    def test_grid_matches_exact_series(self, k, seed, scale):
+        weight, g = random_pair(k, seed, scale)
+        f_inv = weight._profile
+        exact = q_series(f_inv, g)
+        n = 4 * (2 * k) + 16
+        q, _ = _admissibility_q(*grid_samples(f_inv, g, n))
+        tol = 1e-12 * coefficient_size(exact)
+        assert np.all(np.abs(q - exact(uniform_grid(n))) <= tol)
+        check = check_discriminant(f_inv, g, n)
+        assert check.q_min == q.min()
+        assert check.q_argmin == uniform_grid(n)[q.argmin()]
+        assert abs(check.initial_slope_margin - exact(0.0)) <= tol
+
+    @Q_PROPERTY
+    @given(k=Q_DEGREES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 0.5, 3.0]))
+    def test_is_minus_discriminant_times_f_inv_to_the_fourth(self, k, seed, scale):
+        weight, g = random_pair(k, seed, scale)
+        f_inv = weight._profile
+        ts = np.random.default_rng(seed).uniform(0.0, TWO_PI, 257)
+        fh, fhp, gv, gp = f_inv(ts), f_inv.derivative_at(ts), g(ts), g.derivative_at(ts)
+        q, disc = _admissibility_q(fh, fhp, gv, gp)
+        pos = fh > 0.0
+        # the discriminant in f = 1/f_inv, as the transitivity quadratic gives it
+        f, fp = 1.0 / fh[pos], -fhp[pos] / fh[pos] ** 2
+        direct = fp * fp + gv[pos] * f * f * fp - gp[pos] * f**3 - f * f
+        scale_q = fhp * fhp + np.abs(gv * fhp) + np.abs(gp * fh) + fh * fh
+        assert np.all(np.abs(direct * fh[pos] ** 4 + q[pos]) <= 1e-12 * scale_q[pos])
+        assert np.all(np.abs(disc[pos] - direct) <= 1e-12 * scale_q[pos] * f**4)
+        assert np.all(np.isnan(disc[~pos]))
+
+    def test_admitted_specs_satisfy_the_implied_conditions(self):
+        # Q > 0 implies each of them; they are diagnostics, not conditions
+        admitted = 0
+        for k in (1, 2, 8, 64):
+            for seed in range(25):
+                for scale in (0.05, 0.5, 3.0):
+                    r = build_loop_spec(*random_pair(k, seed, scale)).report
+                    if r.verdict:
+                        admitted += 1
+                        assert r.q_min > 0
+                        assert r.initial_slope_margin > 0
+                        assert r.g_bound_margin > 0
+                        assert r.integral_value > 0
+        assert admitted >= 100
 
 
 class TestGAdmissible:
@@ -261,10 +339,11 @@ class TestBuildLoopSpec:
         assert found[0].where is None
 
     def test_hostile_input_does_not_raise(self):
-        # profile dips negative: dependent checks are skipped as NaN
+        # profile dips negative: values that divide by it are NaN, Q is not
         spec = build_loop_spec(FourierSeries(0.9, (40.0,), (0.0,)))
         assert not spec.report.verdict
         assert math.isnan(spec.report.discriminant_max)
+        assert math.isfinite(spec.report.q_min)
         conditions = {f.condition for f in spec.report.failures}
         assert "profile-positivity" in conditions
 

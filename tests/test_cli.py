@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,18 @@ from circleloop import FourierSeries
 from circleloop.specfile import SpecDocument, dump_spec_file, load_spec_file
 
 TWO_PI = 2.0 * np.pi
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+#: validate exit code and failure conditions of every spec in specs/
+FIXTURE_VERDICTS = {
+    "corrupted.json": (2, ["discriminant"]),
+    "energy_probe.json": (0, []),  # 2 a0^2 (not 2 a0) in the energy bound admits it
+    "even_psl2.json": (0, []),
+    "example.json": (0, []),
+    "example_shear.json": (0, []),
+    "inadmissible.json": (2, ["weight-identity", "profile-boundary"]),
+    "trivial.json": (0, []),
+}
 
 TRIVIAL = {
     "schema_version": 1,
@@ -85,6 +98,14 @@ class TestValidate:
     def test_wrong_schema_version_exits_one(self, tmp_path):
         doc = dict(TRIVIAL, schema_version=2)
         assert run_cli("validate", write_spec(tmp_path, "v2.json", doc)).returncode == 1
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_fixture_verdicts(name):
+    res = run_cli("validate", str(SPECS / name))
+    machine = json.loads(res.stdout.strip().splitlines()[-1])
+    conditions = [f["condition"] for f in machine["failures"]]
+    assert (res.returncode, conditions) == FIXTURE_VERDICTS[name]
 
 
 class TestAngleCommands:
@@ -252,6 +273,7 @@ class TestSpecFileRoundtrip:
             {"schema_version": 1, "r": {"a0": "x", "cos": [], "sin": []}},  # type
             {"schema_version": 1, "r": {"a0": 1.0}, "grid_n": 2},  # grid too small
             {"schema_version": 1, "r": {"a0": 1.0}, "extra": 1},  # unknown key
+            {"schema_version": 1, "r": {"a0": 1.0}, "tolerances": {"tol_det": 1e-9}},  # no such knob
         ]
         from circleloop.specfile import parse_spec_document
 

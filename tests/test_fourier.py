@@ -267,7 +267,7 @@ class TestWeightAdmissibility:
         assert rep.identity_residual < 1e-15  # 0.9 + 0.2/2 = 1 exactly
         # amplitude of 0.1 sin t - 0.1 cos t is 0.1*sqrt(2)
         assert rep.positivity_margin == pytest.approx(0.9 - 0.1 * math.sqrt(2), abs=1e-6)
-        assert rep.energy_slack == pytest.approx(1.8)  # k=1 term vanishes
+        assert rep.energy_slack == pytest.approx(1.62)  # 2 a0^2; the k=1 term vanishes
 
     def test_example_margin_against_dense_minimization(self):
         rep = check_weight(FourierSeries(0.9, (0.2,), (0.0,)), 4096)
