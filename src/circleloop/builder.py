@@ -22,49 +22,55 @@ F^4 is minus the admissibility polynomial
     Q = (gF)' + F^2 - F'^2 = g'F + gF' + F^2 - F'^2,
 
 a trigonometric polynomial of degree max(K_F + K_g, 2 K_F), so the
-verdict needs no division by F.  It is four conditions, decided on the
-build grid:
+verdict needs no division by F.  It is four conditions, each measured
+once on the build grid and named by its failure:
 
-    F(0) = 1,   g(0) = 0,   F > 0,   Q > 0.
+    F(0) = 1  (weight-identity),      g(0) = 0  (g-boundary),
+    F > 0     (profile-positivity),   Q > 0     (discriminant).
 
-The report keeps three consequences of them as diagnostics, which decide
-nothing: the initial-slope margin Q(0) = g'(0) + 1 - F'(0)^2; the
-comparison bound g(t) + h(t) > 0 on (0, 2*pi), where
+The two equalities share one tolerance, the two strict inequalities one
+margin.  The report keeps two consequences of them as diagnostics, which
+decide nothing: the initial-slope margin Q(0) = g'(0) + 1 - F'(0)^2 and
+the integral inequality int_0^{2pi} (F^2 - F'^2) dt = 2*pi mean(Q) > 0.
+A third, the comparison bound g + h > 0 on (0, 2*pi] with
 
-    h(t) = (1/F(t)) * int_0^t (F^2 - F'^2) du,   F (g + h) = int_0^t Q;
+    h(t) = (1/F(t)) * int_0^t (F^2 - F'^2) du,   F (g + h) = int_0^t Q,
 
-and the integral inequality int_0^{2pi} (F^2 - F'^2) dt = 2*pi mean(Q) > 0.
+is available pointwise as `subfunction_bound`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonPositiveProfileError, NotAdmissibleError
-from .fourier import (
-    DEFAULT_GRID,
-    DELTA_STRICT,
-    TOL_EQ,
-    TWO_PI,
-    FourierSeries,
-    WeightReport,
-    check_weight,
-    min_grid_points,
-)
+from .errors import NonPositiveProfileError
+from .fourier import DEFAULT_GRID, DELTA_STRICT, TOL_EQ, TWO_PI, FourierSeries, min_grid_points
 
 TRIVIAL_G = FourierSeries(0.0)
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy knobs, recorded in every validation report."""
+    """Numerical policy knobs, recorded in every validation report.
 
-    tol_eq: float = TOL_EQ           # equality residuals
-    delta_strict: float = DELTA_STRICT  # required margin for strict inequalities on grids
-    tol_boundary: float = 1e-9       # |f(0)-1|, |g(0)|
+    Every value must be finite, tol_eq and delta_strict non-negative and
+    tol_root positive; anything else raises ValueError.
+    """
+
+    tol_eq: float = TOL_EQ           # |F(0) - 1| and |g(0)|
+    delta_strict: float = DELTA_STRICT  # required margin of F and Q on the grid
     tol_root: float = 1e-12          # bisection width for right division
+
+    def __post_init__(self) -> None:
+        finite = all(map(math.isfinite, (self.tol_eq, self.delta_strict, self.tol_root)))
+        if not finite or min(self.tol_eq, self.delta_strict) < 0.0 or self.tol_root <= 0.0:
+            raise ValueError(
+                "tolerances must be finite, with tol_eq, delta_strict >= 0 and "
+                f"tol_root > 0; got {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -95,13 +101,12 @@ class DiscriminantCheck:
 class ValidationReport:
     """Structured outcome of the admissibility check for one spec.
 
-    The verdict is F(0) = 1 (weight identity and f0 residuals), g(0) = 0,
-    F > 0 and Q > 0 on the grid.  The discriminant, the initial-slope and
-    g-bound margins and the integral are diagnostics implied by them (NaN
-    where they need F > 0 and it fails).
+    The verdict is f0_residual = |F(0) - 1| and g0_residual = |g(0)| within
+    tol_eq, and f_inv_min and q_min above delta_strict.  The discriminant,
+    the initial-slope margin and the integral are diagnostics implied by
+    them (the discriminant is NaN where F > 0 fails).
     """
 
-    weight_check: WeightReport
     f_inv_min: float          # grid minimum of the reciprocal profile
     f_inv_argmin: float
     discriminant_max: float
@@ -109,8 +114,6 @@ class ValidationReport:
     q_min: float              # grid minimum of the admissibility polynomial Q
     q_argmin: float
     initial_slope_margin: float
-    g_bound_margin: float
-    g_bound_argmin: float
     integral_value: float     # int_0^{2pi} (f_inv^2 - f_inv'^2) dt
     f0_residual: float
     g0_residual: float
@@ -143,36 +146,15 @@ def uniform_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
-def f_inv_from_weight(
-    weight: FourierSeries,
-    *,
-    validate: bool = True,
-    grid_n: int = DEFAULT_GRID,
-    tolerances: Tolerances = Tolerances(),
-) -> FourierSeries:
-    """Reciprocal profile generated by an admissible weight series.
+def f_inv_from_weight(weight: FourierSeries) -> FourierSeries:
+    """Reciprocal profile generated by a weight series.
 
     Coefficient map (the weight's `_profile`, built once per weight):
     cos_k -> (a_k + k b_k)/(1+k^2), sin_k -> (b_k - k a_k)/(1+k^2),
-    constant term unchanged.  Agrees
-    pointwise with e^t (1 - int_0^t weight(u) e^-u du) whenever the weight
-    identity holds.  With validate=True the weight is checked first and
-    NotAdmissibleError raised on failure.
+    constant term unchanged.  Agrees pointwise with
+    e^t (1 - int_0^t weight(u) e^-u du) whenever the weight identity holds;
+    `check_weight` checks the weight, `build_loop_spec` the whole spec.
     """
-    if validate:
-        rep = check_weight(
-            weight,
-            max(grid_n, min_grid_points(weight)),
-            tol_eq=tolerances.tol_eq,
-            delta_strict=tolerances.delta_strict,
-        )
-        if not rep.verdict:
-            raise NotAdmissibleError(
-                "weight series is not admissible: "
-                f"identity residual {rep.identity_residual:.3e}, "
-                f"positivity margin {rep.positivity_margin:.3e}, "
-                f"energy slack {rep.energy_slack:.3e}"
-            )
     return weight._profile
 
 
@@ -203,19 +185,14 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     Raises NonPositiveProfileError if f_inv is not strictly positive on
     the check grid.
     """
-    _positive_on_grid(f_inv, max(grid_n, min_grid_points(f_inv)))
-    return f_inv._energy.integral_from_zero(t) / f_inv(t)
-
-
-def _positive_on_grid(f_inv: FourierSeries, n: int) -> np.ndarray:
-    """f_inv on the n-point grid; NonPositiveProfileError unless it is > 0 there."""
+    n = max(grid_n, min_grid_points(f_inv))
     fh = f_inv._on_grid(n)
     i = int(fh.argmin())
-    if fh[i] <= 0.0:
+    if not fh[i] > 0.0:
         raise NonPositiveProfileError(
             f"reciprocal profile reaches {fh[i]:.3e} at t={uniform_grid(n)[i]:.6f}"
         )
-    return fh
+    return f_inv._energy.integral_from_zero(t) / f_inv(t)
 
 
 def _admissibility_q(fh, fhp, g, gp):
@@ -245,56 +222,31 @@ def check_discriminant(
     )
 
 
-def check_g_bound(
-    f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
-) -> tuple[float, float]:
-    """Minimum of g(t) + h(t) over interior grid points (must be > 0).
+def _validate(
+    f_inv: FourierSeries, g: FourierSeries, grid_n: int, tol: Tolerances
+) -> ValidationReport:
+    """Measure F(0), g(0), min F and min Q once each; each failure names one condition.
 
-    h is `subfunction_bound`, sampled on the grid path.
+    Every comparison is written to fail on NaN.
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
-    fh = _positive_on_grid(f_inv, n)
-    h = f_inv._energy._integral_on_grid(n) / fh
-    vals = (g._on_grid(n) + h)[1:]
-    i = int(vals.argmin())
-    return float(vals[i]), float(uniform_grid(n)[i + 1])
-
-
-def _validate(
-    weight: FourierSeries,
-    f_inv: FourierSeries,
-    g: FourierSeries,
-    grid_n: int,
-    tol: Tolerances,
-) -> ValidationReport:
-    n = max(grid_n, min_grid_points(f_inv), min_grid_points(g), min_grid_points(weight))
-    failures: list[Failure] = []
-
-    wrep = check_weight(weight, n, tol_eq=tol.tol_eq, delta_strict=tol.delta_strict)
-    if wrep.identity_residual > tol.tol_eq:
-        failures.append(Failure("weight-identity", None, wrep.identity_residual))
-
+    f0_res = abs(float(f_inv(0.0)) - 1.0)
+    g0_res = abs(float(g(0.0)))
     fh = f_inv._on_grid(n)
     i = int(fh.argmin())
     f_min, f_argmin = float(fh[i]), float(uniform_grid(n)[i])
-    if f_min <= tol.delta_strict:
-        failures.append(Failure("profile-positivity", f_argmin, f_min))
-
-    f0_res = abs(float(f_inv(0.0)) - 1.0)
-    g0_res = abs(float(g(0.0)))
-    if f0_res > tol.tol_boundary:
-        failures.append(Failure("profile-boundary", 0.0, f0_res))
-    if g0_res > tol.tol_boundary:
-        failures.append(Failure("g-boundary", 0.0, g0_res))
-
     disc = check_discriminant(f_inv, g, n)
-    if not disc.q_min > tol.delta_strict:
-        failures.append(Failure("discriminant", disc.q_argmin, disc.q_min))
-    # the comparison bound divides by f_inv: NaN when positivity already failed
-    g_margin, g_argmin = check_g_bound(f_inv, g, n) if f_min > 0.0 else (np.nan, np.nan)
-
+    failures = tuple(
+        Failure(name, where, value)
+        for failed, name, where, value in (
+            (not f0_res <= tol.tol_eq, "weight-identity", None, f0_res),
+            (not f_min > tol.delta_strict, "profile-positivity", f_argmin, f_min),
+            (not g0_res <= tol.tol_eq, "g-boundary", 0.0, g0_res),
+            (not disc.q_min > tol.delta_strict, "discriminant", disc.q_argmin, disc.q_min),
+        )
+        if failed
+    )
     return ValidationReport(
-        weight_check=wrep,
         f_inv_min=f_min,
         f_inv_argmin=f_argmin,
         discriminant_max=disc.max_value,
@@ -302,15 +254,13 @@ def _validate(
         q_min=disc.q_min,
         q_argmin=disc.q_argmin,
         initial_slope_margin=disc.initial_slope_margin,
-        g_bound_margin=g_margin,
-        g_bound_argmin=g_argmin,
         integral_value=integral_inequality_value(f_inv),
         f0_residual=f0_res,
         g0_residual=g0_res,
         grid_n=n,
         tolerances=tol,
         verdict=not failures,
-        failures=tuple(failures),
+        failures=failures,
     )
 
 
@@ -325,12 +275,9 @@ def build_loop_spec(
     Never raises on numeric input: an inadmissible pair comes back as a
     LoopSpec whose report has verdict False and a populated failure list.
     """
-    f_inv = f_inv_from_weight(weight, validate=False)
+    f_inv = f_inv_from_weight(weight)
     return LoopSpec(
-        f_inv=f_inv,
-        g=g,
-        weight=weight,
-        report=_validate(weight, f_inv, g, grid_n, tolerances),
+        f_inv=f_inv, g=g, weight=weight, report=_validate(f_inv, g, grid_n, tolerances)
     )
 
 
@@ -344,10 +291,9 @@ def reflect_spec(spec: LoopSpec) -> LoopSpec:
     """
     f_inv = spec.f_inv.reflected()
     g = -spec.g.reflected()
-    weight = weight_from_f_inv(f_inv)
     return LoopSpec(
         f_inv=f_inv,
         g=g,
-        weight=weight,
-        report=_validate(weight, f_inv, g, spec.report.grid_n, spec.report.tolerances),
+        weight=weight_from_f_inv(f_inv),
+        report=_validate(f_inv, g, spec.report.grid_n, spec.report.tolerances),
     )

@@ -8,8 +8,12 @@
     circleloop plot-data SPEC -o OUT.csv
     circleloop check     SPEC --suite NAME [--seed S] [--skip-validation]
 
-Global flags: --grid N overrides the validation grid, --degrees converts
-angle arguments from degrees on input (output stays in radians).
+Global flags: --grid N (N >= 4) overrides the validation grid, --degrees
+converts angle arguments from degrees on input (output stays in radians),
+and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|), --delta-strict (the
+margin F and Q must clear on the grid) and --tol-root (the right-division
+bisection width) override the spec file's tolerances.  Angle arguments must
+be finite.
 
 Exit codes are the machine contract: 0 pass, 1 I/O / schema / usage
 error, 2 inadmissible spec, 3 suite failure.
@@ -47,15 +51,17 @@ def _build(path: str, options: dict) -> LoopSpec:
         doc = load_spec_file(path)
     except SpecFileError as exc:
         _fail(str(exc), EXIT_ERROR)
-    grid_n = options["grid"] or doc.grid_n or DEFAULT_GRID
+    grid_n = options["grid"] if options["grid"] is not None else doc.grid_n or DEFAULT_GRID
     tol = doc.tolerances or Tolerances()
     overrides = {
         name: options[name]
         for name in ("tol_eq", "delta_strict", "tol_root")
         if options[name] is not None
     }
-    if overrides:
+    try:
         tol = dataclasses.replace(tol, **overrides)
+    except ValueError as exc:
+        _fail(str(exc), EXIT_ERROR)
     return build_loop_spec(doc.weight, doc.g, grid_n=grid_n, tolerances=tol)
 
 
@@ -73,6 +79,8 @@ def _angle(value: float, degrees: bool) -> float:
 
 def _print_operation(ctx: click.Context, spec_path: str, op, x: float, y: float) -> None:
     """Build and require a valid spec, then print op(spec, x, y) in radians."""
+    if not np.isfinite([x, y]).all():
+        _fail(f"angle arguments must be finite, got {x!r} and {y!r}", EXIT_ERROR)
     spec = _build(spec_path, ctx.obj)
     _require_valid(spec)
     d = ctx.obj["degrees"]
@@ -91,7 +99,7 @@ def _report_header(spec: LoopSpec) -> None:
     t = r.tolerances
     click.echo(
         f"# grid_n={r.grid_n} tol_eq={t.tol_eq:g} delta_strict={t.delta_strict:g} "
-        f"tol_boundary={t.tol_boundary:g} tol_root={t.tol_root:g}"
+        f"tol_root={t.tol_root:g}"
     )
 
 
@@ -101,12 +109,6 @@ def _report_dict(spec: LoopSpec) -> dict:
         "verdict": r.verdict,
         "grid_n": r.grid_n,
         "tolerances": dataclasses.asdict(r.tolerances),
-        "weight": {
-            "identity_residual": r.weight_check.identity_residual,
-            "positivity_margin": r.weight_check.positivity_margin,
-            "energy_slack": r.weight_check.energy_slack,
-            "verdict": r.weight_check.verdict,
-        },
         "profile_min": r.f_inv_min,
         "profile_argmin": r.f_inv_argmin,
         "discriminant_max": r.discriminant_max,
@@ -114,8 +116,6 @@ def _report_dict(spec: LoopSpec) -> dict:
         "q_min": r.q_min,
         "q_argmin": r.q_argmin,
         "initial_slope_margin": r.initial_slope_margin,
-        "g_bound_margin": r.g_bound_margin,
-        "g_bound_argmin": r.g_bound_argmin,
         "integral_value": r.integral_value,
         "boundary_residuals": [r.f0_residual, r.g0_residual],
         "failures": [
@@ -126,11 +126,13 @@ def _report_dict(spec: LoopSpec) -> dict:
 
 
 @click.group()
-@click.option("--grid", "grid_n", type=int, default=None, help="Validation grid size override.")
+@click.option("--grid", "grid_n", type=click.IntRange(min=4), default=None,
+              help="Validation grid size override.")
 @click.option("--degrees", is_flag=True, help="Interpret angle arguments as degrees.")
-@click.option("--tol-eq", type=float, default=None, help="Equality-residual tolerance override.")
+@click.option("--tol-eq", type=float, default=None,
+              help="Tolerance override for |F(0) - 1| and |g(0)|.")
 @click.option("--delta-strict", type=float, default=None,
-              help="Required margin for strict inequalities.")
+              help="Required margin of F and Q on the grid.")
 @click.option("--tol-root", type=float, default=None, help="Right-division bisection tolerance.")
 @click.pass_context
 def cli(ctx: click.Context, grid_n: int | None, degrees: bool, tol_eq: float | None,
@@ -153,14 +155,10 @@ def validate(ctx: click.Context, spec_path: str) -> None:
     spec = _build(spec_path, ctx.obj)
     r = spec.report
     _report_header(spec)
-    click.echo(f"weight identity residual : {r.weight_check.identity_residual:.6g}")
-    click.echo(f"weight positivity margin : {r.weight_check.positivity_margin:.6g}")
-    click.echo(f"weight energy slack      : {r.weight_check.energy_slack:.6g}")
     click.echo(f"profile minimum          : {r.f_inv_min:.6g} at t={r.f_inv_argmin:.6f}")
     click.echo(f"discriminant maximum     : {r.discriminant_max:.6g} at t={r.discriminant_argmax:.6f}")
     click.echo(f"Q minimum                : {r.q_min:.6g} at t={r.q_argmin:.6f}")
     click.echo(f"initial slope margin     : {r.initial_slope_margin:.6g}")
-    click.echo(f"g lower-bound margin     : {r.g_bound_margin:.6g} at t={r.g_bound_argmin:.6f}")
     click.echo(f"integral inequality      : {r.integral_value:.6g}")
     click.echo(f"boundary residuals       : |f(0)-1|={r.f0_residual:.3g} |g(0)|={r.g0_residual:.3g}")
     for fail in r.failures:
@@ -253,8 +251,8 @@ def _write_csv(path: str, lines: list[str]) -> None:
 @cli.command()
 @click.argument("spec_path", metavar="SPEC")
 @click.option("--suite", default="all", help="axioms | baer | isomorphism | oracle | psl2 | all.")
-@click.option("--seed", type=int, default=verify.DEFAULT_SEED, show_default=True,
-              help="Seed for randomized suites.")
+@click.option("--seed", type=click.IntRange(min=0), default=verify.DEFAULT_SEED,
+              show_default=True, help="Seed for randomized suites.")
 @click.option("--skip-validation", is_flag=True,
               help="Run suites even on an inadmissible spec (diagnostics).")
 @click.pass_context
@@ -294,8 +292,7 @@ def main() -> None:
     try:
         cli.main(standalone_mode=False)
     except click.ClickException as exc:
-        exc.show()
-        sys.exit(EXIT_ERROR)
+        _fail(exc.format_message(), EXIT_ERROR)
     except click.exceptions.Abort:
         sys.exit(EXIT_ERROR)
 

@@ -9,10 +9,6 @@ class InvalidGridError(CircleLoopError):
     """A sample grid or quadrature node count is too coarse or malformed."""
 
 
-class NotAdmissibleError(CircleLoopError):
-    """A weight series fails one of its admissibility conditions."""
-
-
 class NotUnimodularError(CircleLoopError):
     """A matrix asserted to have unit determinant does not."""
 

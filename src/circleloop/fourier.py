@@ -221,16 +221,6 @@ class FourierSeries:
             grids[n].flags.writeable = False
         return grids[n]
 
-    def _integral_on_grid(self, n: int) -> np.ndarray:
-        """int_0^t s at the n grid angles (`integral_from_zero` there).
-
-        The constant is subtracted in the coefficients, so t_0 = 0 gives a
-        rounding residue rather than an exact 0.
-        """
-        e = self._d / self._ik
-        periodic = _irfft(n, -float(e.real.sum()), e)
-        return self.a0 * (np.arange(n) * (TWO_PI / n)) + periodic
-
     def derivative(self) -> "FourierSeries":
         """Termwise derivative as a series (constant term drops), built once."""
         return self._derivative

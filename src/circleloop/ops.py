@@ -120,11 +120,13 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     """Bisection on [0, 2*pi] for (x * a - a) mod 2*pi = (b - a) mod 2*pi.
 
     For a valid spec the left side rises strictly from 0 to 2*pi as x runs
-    over [0, 2*pi), so plain bisection converges; the residual check
-    catches a spec whose right translation is not monotone.
+    over [0, 2*pi), so plain bisection converges; the residual check, which
+    fails on NaN, catches a spec whose right translation is not monotone.
+    A point where a or b is not finite has no solution and gives NaN.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    finite = np.isfinite(a) & np.isfinite(b)
+    a, b = (np.where(np.isfinite(v), v, 0.0) for v in (a, b))
     target = (b - a) % TWO_PI
     lo = np.zeros(target.shape)
     hi = np.full(target.shape, TWO_PI)
@@ -137,12 +139,13 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
         hi = np.where(go_right, hi, mid)
     x = (0.5 * (lo + hi)) % TWO_PI
     residual = _circular_distance(_mul_unchecked(spec, x, a), b)
-    if np.any(residual > _DIV_RESIDUAL_LIMIT):
+    if not np.all(residual <= _DIV_RESIDUAL_LIMIT):
         worst = float(np.max(residual))
         raise RootNotBracketedError(
             f"right division residual {worst:.3e}; the right translation is not "
             "a monotone circle map (inadmissible spec?)"
         )
+    x = np.where(finite, x, np.nan)
     return x if x.shape else float(x)
 
 

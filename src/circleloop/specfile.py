@@ -8,9 +8,14 @@ Schema (version 1):
       "g":   {"const": <number>, "cos": [<numbers>], "sin": [<numbers>]},
       "grid_n": <int>,            # optional
       "tolerances": {             # optional, any subset
-        "tol_eq": ..., "delta_strict": ..., "tol_boundary": ..., "tol_root": ...
+        "tol_eq": ..., "delta_strict": ..., "tol_root": ...
       }
     }
+
+tol_eq bounds |F(0) - 1| and |g(0)|, delta_strict is the margin F and Q
+must clear on the grid, tol_root the right-division bisection width.
+Every tolerance must be finite, tol_eq and delta_strict >= 0 and
+tol_root > 0.
 
 "r" holds the weight series that generates the profile, "g" the shear.
 Floats are written with full round-trip precision, so a document written
@@ -105,9 +110,12 @@ def parse_spec_document(data: object) -> SpecDocument:
         unknown = set(tobj) - known
         if unknown:
             raise SpecFileError(f"unknown tolerance keys: {sorted(unknown)}")
-        tolerances = Tolerances(
-            **{k: _number(v, f"tolerances.{k}") for k, v in tobj.items()}
-        )
+        try:
+            tolerances = Tolerances(
+                **{k: _number(v, f"tolerances.{k}") for k, v in tobj.items()}
+            )
+        except ValueError as exc:
+            raise SpecFileError(str(exc)) from exc
     return SpecDocument(weight=weight, g=g, grid_n=grid_n, tolerances=tolerances)
 
 

@@ -76,7 +76,7 @@ def random_admissible_weight(rng: np.random.Generator, max_k: int = 4) -> Fourie
         r = spec.report
         if (
             r.verdict
-            and r.weight_check.positivity_margin > 0.15
+            and r.f_inv_min > 0.15
             and r.discriminant_max < -0.05
         ):
             return w

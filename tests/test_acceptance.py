@@ -86,9 +86,9 @@ def test_criterion_3_weight_conditions(tmp_path, trivial_spec, example_spec, she
         cos, sin = tuple(rng.normal(size=k) * 0.3), tuple(rng.normal(size=k) * 0.3)
         w = FourierSeries(solve_a0(cos, sin), cos, sin)
         spec = build_loop_spec(w)
-        worst_residual = max(worst_residual, spec.report.weight_check.identity_residual)
+        worst_residual = max(worst_residual, spec.report.f0_residual)
     margins_ok = all(
-        s.report.weight_check.positivity_margin > 0 and s.report.weight_check.energy_slack > 0
+        s.report.f_inv_min > 0 and s.report.integral_value > 0
         for s in (trivial_spec, example_spec, shear_spec)
     )
     bad = tmp_path / "bad.json"

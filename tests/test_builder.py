@@ -20,8 +20,8 @@ from circleloop import (
     transitivity_quadratic,
     weight_from_f_inv,
 )
-from circleloop.builder import _admissibility_q, check_g_bound, uniform_grid
-from circleloop.errors import NonPositiveProfileError, NotAdmissibleError
+from circleloop.builder import Tolerances, _admissibility_q, uniform_grid
+from circleloop.errors import NonPositiveProfileError
 
 from conftest import random_admissible_weight, random_admissible_spec
 
@@ -68,10 +68,6 @@ class TestProfileFromWeight:
             f_inv = f_inv_from_weight(random_admissible_weight(rng))
             assert abs(float(f_inv(0.0)) - 1.0) < 1e-9
             assert abs(float(f_inv(TWO_PI)) - 1.0) < 1e-9
-
-    def test_rejects_inadmissible_weight(self):
-        with pytest.raises(NotAdmissibleError):
-            f_inv_from_weight(FourierSeries(0.5))
 
 
 class TestWeightInverse:
@@ -212,6 +208,16 @@ def coefficient_size(s: FourierSeries) -> float:
     return abs(s.a0) + float(np.abs(s.cos).sum() + np.abs(s.sin).sum())
 
 
+#: the failure names of the verdict, one per condition
+VERDICT_CONDITIONS = {"weight-identity", "g-boundary", "profile-positivity", "discriminant"}
+
+
+def g_bound_margin(f_inv: FourierSeries, g: FourierSeries, n: int) -> float:
+    """Minimum of g + h over the interior points of the n-point grid, h = subfunction_bound."""
+    ts = uniform_grid(n)[1:]
+    return float(np.min(g(ts) + subfunction_bound(f_inv, ts, grid_n=n)))
+
+
 Q_DEGREES = st.sampled_from([1, 2, 8, 64])
 Q_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -257,19 +263,21 @@ class TestAdmissibilityPolynomial:
         for k in (1, 2, 8, 64):
             for seed in range(25):
                 for scale in (0.05, 0.5, 3.0):
-                    r = build_loop_spec(*random_pair(k, seed, scale)).report
+                    spec = build_loop_spec(*random_pair(k, seed, scale))
+                    r = spec.report
+                    assert {f.condition for f in r.failures} <= VERDICT_CONDITIONS
                     if r.verdict:
                         admitted += 1
                         assert r.q_min > 0
                         assert r.initial_slope_margin > 0
-                        assert r.g_bound_margin > 0
+                        assert g_bound_margin(spec.f_inv, spec.g, r.grid_n) > 0
                         assert r.integral_value > 0
         assert admitted >= 100
 
 
 class TestGAdmissible:
     def test_trivial_margin_is_first_interior_bound(self):
-        margin, _ = check_g_bound(FourierSeries(1.0), FourierSeries(0.0), 4096)
+        margin = g_bound_margin(FourierSeries(1.0), FourierSeries(0.0), 4096)
         # g == 0 and h(t) = t, so the margin is h at the first interior grid point
         assert margin == pytest.approx(TWO_PI / 4096, abs=1e-12)
         disc = check_discriminant(FourierSeries(1.0), FourierSeries(0.0), 4096)
@@ -279,8 +287,7 @@ class TestGAdmissible:
         # g = -(1 - cos t) satisfies the comparison bound near 0 but its
         # discriminant maximum touches 0, so it is not strictly admissible
         g = FourierSeries(-1.0, (1.0,), (0.0,))
-        margin, _ = check_g_bound(FourierSeries(1.0), g, 4096)
-        assert margin > 0
+        assert g_bound_margin(FourierSeries(1.0), g, 4096) > 0
         disc = check_discriminant(FourierSeries(1.0), g, 4096)
         assert disc.max_value == pytest.approx(0.0, abs=1e-6)
         assert not build_loop_spec(FourierSeries(1.0), g).report.verdict
@@ -326,7 +333,6 @@ class TestBuildLoopSpec:
     def test_example(self, example_spec):
         r = example_spec.report
         assert r.verdict
-        assert r.weight_check.positivity_margin == pytest.approx(0.9 - 0.1 * math.sqrt(2), abs=1e-6)
         assert r.f_inv_min == pytest.approx(0.9 - 0.1 * math.sqrt(2), abs=1e-6)
         assert r.integral_value == pytest.approx(1.62 * np.pi, abs=1e-12)
 
@@ -346,6 +352,31 @@ class TestBuildLoopSpec:
         assert math.isfinite(spec.report.q_min)
         conditions = {f.condition for f in spec.report.failures}
         assert "profile-positivity" in conditions
+
+    def test_equalities_share_one_tolerance(self):
+        # 5e-10 lies above tol_eq = 1e-10: each residual fails its one condition
+        r = build_loop_spec(FourierSeries(1.0 + 5e-10)).report
+        assert [(f.condition, f.where) for f in r.failures] == [("weight-identity", None)]
+        g = FourierSeries(5e-10, (0.0,), (0.01,))
+        r = build_loop_spec(FourierSeries(1.0), g).report
+        assert [(f.condition, f.where) for f in r.failures] == [("g-boundary", 0.0)]
+        assert build_loop_spec(FourierSeries(1.0), g, tolerances=Tolerances(tol_eq=1e-9)).verdict
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tol_eq": float("nan")},
+            {"tol_eq": -1e-10},
+            {"delta_strict": float("inf")},
+            {"delta_strict": -1e-9},
+            {"tol_root": 0.0},
+            {"tol_root": -1e-12},
+            {"tol_root": float("nan")},
+        ],
+    )
+    def test_tolerances_fail_closed(self, bad):
+        with pytest.raises(ValueError):
+            Tolerances(**bad)
 
     def test_weight_margin_is_profile_minimum(self):
         # check_weight and the build read the same profile samples, bit for bit

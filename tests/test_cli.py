@@ -19,8 +19,15 @@ FIXTURE_VERDICTS = {
     "even_psl2.json": (0, []),
     "example.json": (0, []),
     "example_shear.json": (0, []),
-    "inadmissible.json": (2, ["weight-identity", "profile-boundary"]),
+    "inadmissible.json": (2, ["weight-identity"]),
     "trivial.json": (0, []),
+}
+
+#: the keys of the `validate` JSON line
+REPORT_KEYS = {
+    "verdict", "grid_n", "tolerances", "profile_min", "profile_argmin", "discriminant_max",
+    "discriminant_argmax", "q_min", "q_argmin", "initial_slope_margin", "integral_value",
+    "boundary_residuals", "failures",
 }
 
 TRIVIAL = {
@@ -81,11 +88,17 @@ class TestValidate:
         res = run_cli("--tol-eq", "1.0", "validate", spec)
         machine = json.loads(res.stdout.strip().splitlines()[-1])
         assert machine["tolerances"]["tol_eq"] == 1.0
-        # the identity condition now tolerates the defect; the boundary
-        # residual still fails, so the spec stays inadmissible
-        assert res.returncode == 2
-        conditions = {f["condition"] for f in machine["failures"]}
-        assert "weight-identity" not in conditions
+        # |F(0) - 1| = 0.5 is measured once, as the weight identity, and
+        # tolerated; the profile and Q stay positive, so the spec is admitted
+        assert res.returncode == 0
+        assert machine["failures"] == []
+
+    def test_report_keys(self, tmp_path):
+        res = run_cli("validate", write_spec(tmp_path, "bad.json", INADMISSIBLE))
+        machine = json.loads(res.stdout.strip().splitlines()[-1])
+        assert set(machine) == REPORT_KEYS
+        assert set(machine["tolerances"]) == {"tol_eq", "delta_strict", "tol_root"}
+        assert set(machine["failures"][0]) == {"condition", "where", "value"}
 
     def test_missing_file_exits_one(self):
         assert run_cli("validate", "/nonexistent/spec.json").returncode == 1
@@ -106,6 +119,44 @@ def test_fixture_verdicts(name):
     machine = json.loads(res.stdout.strip().splitlines()[-1])
     conditions = [f["condition"] for f in machine["failures"]]
     assert (res.returncode, conditions) == FIXTURE_VERDICTS[name]
+
+
+INADMISSIBLE_FILE = str(SPECS / "inadmissible.json")
+EXAMPLE_FILE = str(SPECS / "example.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--tol-root", "0", "validate", INADMISSIBLE_FILE),
+        ("--tol-root", "-1e-12", "validate", INADMISSIBLE_FILE),
+        ("--tol-eq", "nan", "validate", INADMISSIBLE_FILE),
+        ("--tol-eq", "-1", "validate", INADMISSIBLE_FILE),
+        ("--delta-strict", "inf", "validate", INADMISSIBLE_FILE),
+        ("--grid", "0", "validate", INADMISSIBLE_FILE),
+        ("--grid", "-5", "validate", INADMISSIBLE_FILE),
+        ("rdiv", EXAMPLE_FILE, "nan", "1"),
+        ("mul", EXAMPLE_FILE, "1", "inf"),
+        ("--degrees", "ldiv", EXAMPLE_FILE, "-inf", "0"),
+        ("check", EXAMPLE_FILE, "--seed", "-1"),
+    ],
+)
+def test_bad_values_exit_one(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert any(line.startswith("error: ") for line in res.stderr.splitlines())
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"tol_root": 0}, {"tol_root": -1e-12}, {"tol_eq": -1e-10}, {"delta_strict": float("nan")}],
+)
+def test_bad_spec_file_tolerances_exit_one(tmp_path, tolerances):
+    res = run_cli("validate", write_spec(tmp_path, "t.json", dict(TRIVIAL, tolerances=tolerances)))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
 
 
 class TestAngleCommands:

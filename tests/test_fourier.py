@@ -82,11 +82,10 @@ class TestEvaluatorPaths:
         j = np.arange(n)
         # k t_j reduced exactly: 2 pi ((k j) mod n) / n
         kt = TWO_PI * (np.outer(np.arange(1, k + 1), j) % n) / n
-        value, slope, integral, _ = explicit_sums(s, j * (TWO_PI / n), kt)
+        value, slope, _, _ = explicit_sums(s, j * (TWO_PI / n), kt)
         size, k_size = coefficient_sizes(s)
         assert np.all(np.abs(s._on_grid(n) - value) <= 1e-13 * size)
         assert np.all(np.abs(s.derivative()._on_grid(n) - slope) <= 1e-13 * k_size)
-        assert np.all(np.abs(s._integral_on_grid(n) - integral) <= 1e-13 * size * max(1.0, TWO_PI))
 
     @PROPERTY
     @given(k=DEGREES, seed=SEEDS, rows=st.integers(1, 4), cols=st.integers(1, 5))
@@ -109,8 +108,6 @@ class TestEvaluatorPaths:
         n = 2 * k - min(short, 2 * k)  # K >= n/2
         with pytest.raises(InvalidGridError):
             s._on_grid(n)
-        with pytest.raises(InvalidGridError):
-            s._integral_on_grid(n)
 
 
 class TestEvaluation:

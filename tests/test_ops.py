@@ -184,6 +184,22 @@ class TestDivisions:
         with pytest.raises(RootNotBracketedError):
             _rdiv_unchecked(spec, _mul_unchecked(spec, aa, bb), bb)
 
+    def test_non_finite_points_give_nan(self, example_spec):
+        with np.errstate(invalid="ignore"):  # cos(inf) in mul and ldiv
+            for op in (mul, ldiv, rdiv):
+                assert np.isnan(op(example_spec, np.nan, 1.0))
+                assert np.isnan(op(example_spec, 1.0, np.inf))
+        got = rdiv(example_spec, np.array([2.0, np.nan, 2.0, -np.inf]), 1.0)
+        assert np.isnan(got[[1, 3]]).all()
+        assert got[0] == got[2] == rdiv(example_spec, 2.0, 1.0)
+
+    def test_rdiv_residual_check_fails_on_nan(self, example_spec, monkeypatch):
+        from circleloop import ops
+
+        monkeypatch.setattr(ops, "_mul_unchecked", lambda spec, s, t: np.full(np.shape(s), np.nan))
+        with pytest.raises(RootNotBracketedError):
+            _rdiv_unchecked(example_spec, 2.0, 1.0)
+
     def test_invalid_spec_rejected(self):
         bad = build_loop_spec(FourierSeries(0.5))
         with pytest.raises(InvalidSpecError):
