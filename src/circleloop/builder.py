@@ -47,7 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonPositiveProfileError
-from .fourier import DEFAULT_GRID, DELTA_STRICT, TOL_EQ, TWO_PI, FourierSeries, min_grid_points
+from .fourier import (
+    DEFAULT_GRID, DELTA_STRICT, TOL_EQ, TWO_PI, FourierSeries, _grid_min, min_grid_points,
+)
 
 TRIVIAL_G = FourierSeries(0.0)
 
@@ -56,21 +58,17 @@ TRIVIAL_G = FourierSeries(0.0)
 class Tolerances:
     """Numerical policy knobs, recorded in every validation report.
 
-    Every value must be finite, tol_eq and delta_strict non-negative and
-    tol_root positive; anything else raises ValueError.
+    Both values must be finite and non-negative; anything else raises
+    ValueError.
     """
 
     tol_eq: float = TOL_EQ           # |F(0) - 1| and |g(0)|
     delta_strict: float = DELTA_STRICT  # required margin of F and Q on the grid
-    tol_root: float = 1e-12          # bisection width for right division
 
     def __post_init__(self) -> None:
-        finite = all(map(math.isfinite, (self.tol_eq, self.delta_strict, self.tol_root)))
-        if not finite or min(self.tol_eq, self.delta_strict) < 0.0 or self.tol_root <= 0.0:
-            raise ValueError(
-                "tolerances must be finite, with tol_eq, delta_strict >= 0 and "
-                f"tol_root > 0; got {self}"
-            )
+        values = (self.tol_eq, self.delta_strict)
+        if not all(map(math.isfinite, values)) or min(values) < 0.0:
+            raise ValueError(f"tolerances must be finite and >= 0; got {self}")
 
 
 @dataclass(frozen=True)
@@ -185,13 +183,9 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     Raises NonPositiveProfileError if f_inv is not strictly positive on
     the check grid.
     """
-    n = max(grid_n, min_grid_points(f_inv))
-    fh = f_inv._on_grid(n)
-    i = int(fh.argmin())
-    if not fh[i] > 0.0:
-        raise NonPositiveProfileError(
-            f"reciprocal profile reaches {fh[i]:.3e} at t={uniform_grid(n)[i]:.6f}"
-        )
+    lowest, where = _grid_min(f_inv._on_grid(max(grid_n, min_grid_points(f_inv))))
+    if not lowest > 0.0:
+        raise NonPositiveProfileError(f"reciprocal profile reaches {lowest:.3e} at t={where:.6f}")
     return f_inv._energy.integral_from_zero(t) / f_inv(t)
 
 
@@ -203,6 +197,13 @@ def _admissibility_q(fh, fhp, g, gp):
         return q, np.where(fh > 0.0, -q / fh**4, np.nan)
 
 
+def _q_on_grid(f_inv: FourierSeries, g: FourierSeries, n: int):
+    """`_admissibility_q` on the n-point grid, from the cached samples of F, F', g and g'."""
+    return _admissibility_q(
+        *(s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative()))
+    )
+
+
 def check_discriminant(
     f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
 ) -> DiscriminantCheck:
@@ -212,14 +213,10 @@ def check_discriminant(
     discriminant's maximum and where, and Q(0), the grid's first sample.
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
-    ts = uniform_grid(n)
-    q, disc = _admissibility_q(
-        *(s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative()))
-    )
-    i, j = int(q.argmin()), int(disc.argmax())
-    return DiscriminantCheck(
-        float(q[i]), float(ts[i]), float(disc[j]), float(ts[j]), float(q[0])
-    )
+    q, disc = _q_on_grid(f_inv, g, n)
+    q_min, q_argmin = _grid_min(q)
+    neg_max, argmax = _grid_min(-disc)  # the discriminant's maximum, negated
+    return DiscriminantCheck(q_min, q_argmin, -neg_max, argmax, float(q[0]))
 
 
 def _validate(
@@ -232,9 +229,7 @@ def _validate(
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     f0_res = abs(float(f_inv(0.0)) - 1.0)
     g0_res = abs(float(g(0.0)))
-    fh = f_inv._on_grid(n)
-    i = int(fh.argmin())
-    f_min, f_argmin = float(fh[i]), float(uniform_grid(n)[i])
+    f_min, f_argmin = _grid_min(f_inv._on_grid(n))
     disc = check_discriminant(f_inv, g, n)
     failures = tuple(
         Failure(name, where, value)

@@ -10,10 +10,10 @@
 
 Global flags: --grid N (N >= 4) overrides the validation grid, --degrees
 converts angle arguments from degrees on input (output stays in radians),
-and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|), --delta-strict (the
-margin F and Q must clear on the grid) and --tol-root (the right-division
-bisection width) override the spec file's tolerances.  Angle arguments must
-be finite.
+and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|) and --delta-strict
+(the margin F and Q must clear on the grid) override the spec file's
+tolerances.  Angle arguments must be finite.  plot-data writes the
+samples the verdict read: F, F', g and g' on the validation grid.
 
 Exit codes are the machine contract: 0 pass, 1 I/O / schema / usage
 error, 2 inadmissible spec, 3 suite failure.
@@ -30,7 +30,9 @@ import click
 import numpy as np
 
 from . import ops, verify
-from .builder import LoopSpec, Tolerances, _admissibility_q, build_loop_spec, subfunction_bound
+from .builder import (
+    LoopSpec, Tolerances, _q_on_grid, build_loop_spec, subfunction_bound, uniform_grid,
+)
 from .errors import SpecFileError, UnknownSuiteError
 from .fourier import DEFAULT_GRID, TWO_PI
 from .specfile import load_spec_file
@@ -55,7 +57,7 @@ def _build(path: str, options: dict) -> LoopSpec:
     tol = doc.tolerances or Tolerances()
     overrides = {
         name: options[name]
-        for name in ("tol_eq", "delta_strict", "tol_root")
+        for name in ("tol_eq", "delta_strict")
         if options[name] is not None
     }
     try:
@@ -94,15 +96,6 @@ def _snap(angle):
     return out if out.shape else float(out)
 
 
-def _report_header(spec: LoopSpec) -> None:
-    r = spec.report
-    t = r.tolerances
-    click.echo(
-        f"# grid_n={r.grid_n} tol_eq={t.tol_eq:g} delta_strict={t.delta_strict:g} "
-        f"tol_root={t.tol_root:g}"
-    )
-
-
 def _report_dict(spec: LoopSpec) -> dict:
     r = spec.report
     return {
@@ -133,17 +126,15 @@ def _report_dict(spec: LoopSpec) -> dict:
               help="Tolerance override for |F(0) - 1| and |g(0)|.")
 @click.option("--delta-strict", type=float, default=None,
               help="Required margin of F and Q on the grid.")
-@click.option("--tol-root", type=float, default=None, help="Right-division bisection tolerance.")
 @click.pass_context
 def cli(ctx: click.Context, grid_n: int | None, degrees: bool, tol_eq: float | None,
-        delta_strict: float | None, tol_root: float | None) -> None:
+        delta_strict: float | None) -> None:
     """Construct and verify differentiable loops on the circle."""
     ctx.obj = {
         "grid": grid_n,
         "degrees": degrees,
         "tol_eq": tol_eq,
         "delta_strict": delta_strict,
-        "tol_root": tol_root,
     }
 
 
@@ -153,8 +144,8 @@ def cli(ctx: click.Context, grid_n: int | None, degrees: bool, tol_eq: float | N
 def validate(ctx: click.Context, spec_path: str) -> None:
     """Run every admissibility check and print the validation report."""
     spec = _build(spec_path, ctx.obj)
-    r = spec.report
-    _report_header(spec)
+    r, tol = spec.report, spec.report.tolerances
+    click.echo(f"# grid_n={r.grid_n} tol_eq={tol.tol_eq:g} delta_strict={tol.delta_strict:g}")
     click.echo(f"profile minimum          : {r.f_inv_min:.6g} at t={r.f_inv_argmin:.6f}")
     click.echo(f"discriminant maximum     : {r.discriminant_max:.6g} at t={r.discriminant_argmax:.6f}")
     click.echo(f"Q minimum                : {r.q_min:.6g} at t={r.q_argmin:.6f}")
@@ -225,17 +216,18 @@ def table(ctx: click.Context, spec_path: str, size: int, out_path: str) -> None:
 @click.option("-o", "--out", "out_path", required=True, type=click.Path(), help="Output CSV.")
 @click.pass_context
 def plot_data(ctx: click.Context, spec_path: str, out_path: str) -> None:
-    """Write t, f(t), g(t), h(t), disc(t) over the validation grid as CSV."""
+    """Write t, f(t), g(t), h(t), disc(t) over the validation grid as CSV.
+
+    f, g and disc come from the grid samples the verdict read.
+    """
     spec = _build(spec_path, ctx.obj)
     _require_valid(spec)
     n = spec.report.grid_n
-    ts = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    fh, g = spec.f_inv(ts), spec.g(ts)
-    f = 1.0 / fh
+    ts = uniform_grid(n)
     h = subfunction_bound(spec.f_inv, ts, grid_n=n)
-    _, disc = _admissibility_q(fh, spec.f_inv.derivative_at(ts), g, spec.g.derivative_at(ts))
+    _, disc = _q_on_grid(spec.f_inv, spec.g, n)
     lines = ["t,f,g,h,disc"]
-    for row in zip(ts, f, g, h, disc):
+    for row in zip(ts, 1.0 / spec.f_inv._on_grid(n), spec.g._on_grid(n), h, disc):
         lines.append(",".join(f"{v:.12g}" for v in row))
     _write_csv(out_path, lines)
     click.echo(f"wrote {len(lines) - 1} rows to {out_path}")

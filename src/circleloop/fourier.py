@@ -5,22 +5,21 @@ A truncated Fourier series is the trigonometric polynomial
     s(t) = a0 + sum_{k=1..K} (cos_k * cos(k t) + sin_k * sin(k t)),
 
 2*pi-periodic by construction.  With D_k = cos_k - i sin_k its calculus is
-exact coefficient arithmetic:
+exact coefficient arithmetic, and every pointwise quantity is a series:
 
     s(t)                 = a0 + Re sum_k D_k e^{ikt}
-    s'(t)                = Re sum_k ik D_k e^{ikt}
-    int_0^t s(u) du      = a0 t + Re sum_k D_k/(ik) (e^{ikt} - 1)
-    int_0^t s(u) e^-u du = (1 - e^-t)(a0 - Re sum_k G_k)
-                           + e^-t Re sum_k G_k (e^{ikt} - 1),   G_k = D_k/(ik - 1).
+    s'(t)                = Re sum_k ik D_k e^{ikt}            (the derivative series)
+    int_0^t s(u) du      = a0 t + A(t) - A(0),   A: D_k -> D_k/(ik)
+    int_0^t s(u) e^-u du = P(0) - e^-t P(t),     P: D_k -> D_k/(1 - ik),
 
-One private evaluator samples every such quantity, by the path its caller
-picks: at arbitrary points, Horner's rule in real arithmetic on
-(cos t, sin t), one sincos per point and then O(K) multiply-adds; on the
-uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2.
-Through e^{ikt} - 1 = (z - 1) sum_{j<k} z^j, with z - 1 = -2 sin^2(t/2) + i sin t,
-both integrals are exactly 0 at t = 0.  No coefficient is ever estimated
-from samples.  Each series builds its derived series (derivative, energy
-s^2 - s'^2) and its samples on each grid once.
+the last because P - P' = s, so (e^-t P)' = -e^-t s.  Each derived series
+(derivative, antiderivative A, profile P, energy s^2 - s'^2) is built once
+per series, and every series is read by one of two paths: at arbitrary
+points, Horner's rule in real arithmetic on (cos t, sin t), one sincos per
+point and then O(K) multiply-adds; on the uniform grid t_j = 2*pi*j/n, one
+inverse real FFT, exact for K < n/2 and kept per n.  No coefficient is ever
+estimated from samples, and `_grid_min` is the one reading of a grid's
+minimum and its angle.
 
 A weight series w generates the reciprocal profile
 F(t) = e^t (1 - int_0^t w(u) e^-u du): F keeps a0 and maps D_k to
@@ -61,40 +60,23 @@ DELTA_STRICT = 1e-9
 DEFAULT_GRID = 4096
 
 
-def _horner(terms: list, t, w):
-    """Re[w * sum_j terms[j] e^{ijt}] at arbitrary t, by Horner's rule in real arithmetic.
+def _horner(terms: list, t):
+    """Re sum_{k>=1} terms[k-1] e^{ikt} at arbitrary t, by Horner's rule in real arithmetic.
 
-    One sincos per point, then O(K) multiply-adds; w(t, cos t, sin t) gives
-    (Re w, Im w).  A float array for an array t, a Python float for a 0-d
-    t, and zeros without a sincos when there are no terms.
+    One sincos per point, then O(K) multiply-adds.  A float array for an
+    array t, a Python float for a 0-d t, and zeros without a sincos when
+    there are no terms.
     """
     t = np.asarray(t, dtype=float)
     if not terms:
         return np.zeros(t.shape) if t.shape else 0.0
     c, s = np.cos(t), np.sin(t)
     if not t.shape:
-        t, c, s = float(t), float(c), float(s)
+        c, s = float(c), float(s)
     re, im = terms[-1].real, terms[-1].imag
     for q in terms[-2::-1]:
         re, im = re * c - im * s + q.real, re * s + im * c + q.imag
-    wr, wi = w(t, c, s)
-    return wr * re - wi * im
-
-
-def _z(t, c, s):
-    """e^{it}."""
-    return c, s
-
-
-def _z_minus_one(t, c, s):
-    """e^{it} - 1 = -2 sin^2(t/2) + i sin t: exactly 0 at t = 0, accurate near it."""
-    h = np.sin(0.5 * t)
-    return -2.0 * h * h, s
-
-
-def _tails(x: np.ndarray) -> list:
-    """F_j = sum_{k>j} x_k, j = 0..K-1: sum_k x_k (z^k - 1) = (z - 1) sum_j F_j z^j."""
-    return np.cumsum(x[::-1])[::-1].tolist()
+    return re * c - im * s
 
 
 def _float(out):
@@ -116,6 +98,16 @@ def _irfft(n: int, const: float, d: np.ndarray) -> np.ndarray:
     x[0] = n * const
     x[1 : d.size + 1] = 0.5 * n * d
     return np.fft.irfft(x, n)
+
+
+def _grid_min(samples: np.ndarray) -> tuple[float, float]:
+    """Minimum of samples on the uniform grid t_j = 2*pi*j/n, and its angle.
+
+    The angle is j * (2*pi/n), bit for bit the grid's own angle; ties and
+    NaN go to the first sample, as `argmin` does.
+    """
+    j = int(samples.argmin())
+    return float(samples[j]), j * (TWO_PI / samples.size)
 
 
 @dataclass(frozen=True)
@@ -162,6 +154,12 @@ class FourierSeries:
         return FourierSeries(0.0, d.real.tolist(), (-d.imag).tolist())
 
     @cached_property
+    def _antiderivative(self) -> "FourierSeries":
+        """A with A' = s - a0 and no constant term: D_k -> D_k/(ik)."""
+        d = self._d / self._ik
+        return FourierSeries(0.0, d.real.tolist(), (-d.imag).tolist())
+
+    @cached_property
     def _profile(self) -> "FourierSeries":
         """The reciprocal profile this series generates as a weight: a0 kept,
         D_k -> D_k/(1 - ik)."""
@@ -182,30 +180,23 @@ class FourierSeries:
 
     def __call__(self, t):
         """Evaluate at t (scalar or array, radians)."""
-        return self.a0 + _horner(self._value_terms, t, _z)
+        return self.a0 + _horner(self._value_terms, t)
 
     def derivative_at(self, t):
         """Evaluate the derivative sum k(-cos_k sin kt + sin_k cos kt) at t."""
-        return _horner(self.derivative()._value_terms, t, _z)
+        return self.derivative()(t)
 
     def exp_weighted_integral(self, t):
-        """Closed form of int_0^t s(u) exp(-u) du; exactly 0 at t = 0.
-
-        Equals (1 - e^-t)(a0 - Re sum G_k) + e^-t Re sum G_k (e^{ikt} - 1)
-        with G_k = (cos_k - i sin_k)/(ik - 1).
-        """
+        """int_0^t s(u) e^-u du = P(0) - e^-t P(t), P the profile series; exactly 0 at t = 0."""
         t = np.asarray(t, dtype=float)
-        g = self._d / (self._ik - 1.0)
-        lead = self.a0 - float(g.real.sum())
-        return _float(-np.expm1(-t) * lead + np.exp(-t) * _horner(_tails(g), t, _z_minus_one))
+        p = self._profile
+        return _float(p(0.0) - np.exp(-t) * p(t))
 
     def integral_from_zero(self, t):
-        """Evaluate int_0^t s(u) du (a linear term plus a trigonometric polynomial).
-
-        Exactly 0 at t = 0.
-        """
+        """int_0^t s(u) du = a0 t + A(t) - A(0), A the antiderivative series; exactly 0 at t = 0."""
         t = np.asarray(t, dtype=float)
-        return _float(self.a0 * t + _horner(_tails(self._d / self._ik), t, _z_minus_one))
+        a = self._antiderivative
+        return _float(self.a0 * t + (a(t) - a(0.0)))
 
     # The uniform-grid path: t_j = 2*pi*j/n, j < n.
 
@@ -282,7 +273,7 @@ def solve_a0(cos: tuple[float, ...], sin: tuple[float, ...]) -> float:
 class WeightReport:
     """Outcome of the three admissibility conditions for a weight series.
 
-    identity_residual   |a0 + sum (cos_k + k sin_k)/(1+k^2) - 1|
+    identity_residual   |F(0) - 1| = |a0 + sum (cos_k + k sin_k)/(1+k^2) - 1|
     positivity_margin   grid minimum of the generated reciprocal profile
     energy_slack        2 a0^2 - sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1),
                         that is 2 mean(F^2 - F'^2) for the profile F
@@ -314,9 +305,9 @@ def check_weight(
 
         a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2);
 
-    the identity residual reads the cosine sum of the same series, the
-    energy slack the constant of its energy series, and its grid samples
-    are the ones the builder's positivity check reads.
+    the identity residual is |F(0) - 1| for that profile F, the energy
+    slack reads the constant of its energy series, and both the residual
+    and the grid samples are the ones the builder's verdict reads.
 
     Raises InvalidGridError when grid_n is below 4K+16.
     """
@@ -326,8 +317,8 @@ def check_weight(
             f"for {series.harmonics} harmonics"
         )
     profile = series._profile
-    residual = abs(series.a0 + float(np.sum(profile.cos)) - 1.0)
-    margin = float(profile._on_grid(grid_n).min())
+    residual = abs(float(profile(0.0)) - 1.0)
+    margin, _ = _grid_min(profile._on_grid(grid_n))
     slack = 2.0 * profile._energy.a0
     verdict = residual <= tol_eq and margin > delta_strict and slack >= -tol_eq
     return WeightReport(

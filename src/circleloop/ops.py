@@ -29,6 +29,7 @@ equivalent quadratic-in-w positivity condition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ from .sl2 import rot
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
+#: halvings of [0, 2*pi] in right division: a final bracket 2*pi/2^51 = 2.8e-15 wide
+_BISECTION_STEPS = 51
+#: intermediate angles per turn along which `eta` tracks its lift
+_ETA_RESOLUTION = 2048
+#: largest winding error |lift(2pi) - lift(0) - 2pi| a transversal may show
+_WINDING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,26 @@ class SectionPoint:
     matrix: np.ndarray
 
 
-def _require_valid(spec: LoopSpec) -> None:
-    if not spec.report.verdict:
-        names = ", ".join(f.condition for f in spec.report.failures) or "unknown"
-        raise InvalidSpecError(f"spec failed validation ({names})")
+def _operation(op):
+    """The one gate of every public loop operation.
+
+    The spec must have passed validation, else InvalidSpecError.  A point
+    where an argument is nan or +-inf gives NaN, without a warning: the
+    operation runs with 0 there, and those points are masked after.
+    """
+
+    @functools.wraps(op)
+    def checked(spec, *args):
+        if not spec.report.verdict:
+            names = ", ".join(f.condition for f in spec.report.failures) or "unknown"
+            raise InvalidSpecError(f"spec failed validation ({names})")
+        finite = functools.reduce(np.logical_and, map(np.isfinite, args))
+        if finite.all():
+            return op(spec, *args)
+        out = np.where(finite, op(spec, *(np.where(np.isfinite(a), a, 0.0) for a in args)), np.nan)
+        return out if out.shape else float(out)
+
+    return checked
 
 
 def _coset_angle(p, q, r, x, y):
@@ -72,15 +95,18 @@ def _coset_angle(p, q, r, x, y):
 
 def section(spec: LoopSpec, t: float) -> SectionPoint:
     """Section matrix at angle t; the identity matrix at t in 2*pi*Z."""
-    _require_valid(spec)
-    t = float(t)
+    return SectionPoint(float(t), _section_matrix(spec, t))
+
+
+@_operation
+def _section_matrix(spec: LoopSpec, t) -> np.ndarray:
     fh = spec.f_inv(t)
-    return SectionPoint(t, rot(t) @ np.array([[1.0 / fh, spec.g(t)], [0.0, fh]]))
+    return rot(t) @ np.array([[1.0 / fh, spec.g(t)], [0.0, fh]])
 
 
+@_operation
 def mul(spec: LoopSpec, s, t):
     """Loop product s * t as an angle in [0, 2*pi); vectorizes over arrays."""
-    _require_valid(spec)
     return _mul_unchecked(spec, s, t)
 
 
@@ -96,9 +122,9 @@ def _circular_distance(x, y):
     return np.minimum(d, TWO_PI - d)
 
 
+@_operation
 def ldiv(spec: LoopSpec, a, b):
     """The unique y with a * y = b (left division a \\ b)."""
-    _require_valid(spec)
     return _ldiv_unchecked(spec, a, b)
 
 
@@ -110,9 +136,9 @@ def _ldiv_unchecked(spec: LoopSpec, a, b):
     return y if y.shape else float(y)
 
 
+@_operation
 def rdiv(spec: LoopSpec, b, a):
     """The unique x with x * a = b (right division b / a)."""
-    _require_valid(spec)
     return _rdiv_unchecked(spec, b, a)
 
 
@@ -122,17 +148,12 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     For a valid spec the left side rises strictly from 0 to 2*pi as x runs
     over [0, 2*pi), so plain bisection converges; the residual check, which
     fails on NaN, catches a spec whose right translation is not monotone.
-    A point where a or b is not finite has no solution and gives NaN.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    finite = np.isfinite(a) & np.isfinite(b)
-    a, b = (np.where(np.isfinite(v), v, 0.0) for v in (a, b))
     target = (b - a) % TWO_PI
     lo = np.zeros(target.shape)
     hi = np.full(target.shape, TWO_PI)
-    # halvings to shrink [0, 2*pi] below tol_root, plus guard bits
-    steps = int(np.ceil(np.log2(TWO_PI / spec.report.tolerances.tol_root))) + 8
-    for _ in range(min(90, max(20, steps))):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         go_right = (_mul_unchecked(spec, mid, a) - a) % TWO_PI < target
         lo = np.where(go_right, mid, lo)
@@ -145,7 +166,6 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
             f"right division residual {worst:.3e}; the right translation is not "
             "a monotone circle map (inadmissible spec?)"
         )
-    x = np.where(finite, x, np.nan)
     return x if x.shape else float(x)
 
 
@@ -184,23 +204,25 @@ def _worst_step(lifts: np.ndarray) -> tuple[float, int, int, float, int]:
     return float(steps[row, col]), int(row), int(col), float(winding[w]), w
 
 
+@_operation
 def eta_lift(spec: LoopSpec, w: float, ts: np.ndarray) -> np.ndarray:
     """Continuous lift of eta_w along ts, with w = tan(beta).
 
-    Starts at eta_w(ts[0]) reduced to (-pi, pi]; for a valid spec and
-    ts[0] = 0 that is eta_w(0) = 0.
+    Starts at eta_w(ts[0]) reduced to (-pi, pi]; for ts[0] = 0 that is
+    eta_w(0) = 0.  Like every operation it needs a valid spec; a
+    non-finite sample reads NaN, and the lift steps across it as across 0.
     """
     return _translation_lifts(spec, [np.arctan(w)], ts, "right")[0]
 
 
-def eta(spec: LoopSpec, w: float, t: float, *, resolution: int = 2048) -> float:
+@_operation
+def eta(spec: LoopSpec, w: float, t: float) -> float:
     """Continuous lift of eta_w at a single angle, anchored at eta_w(0) = 0.
 
     eta_0(t) = t for every spec, and for the trivial spec eta_w(t) = t for
-    all w.  Tracked from 0 to t along `resolution` intermediate angles.
+    all w.  Tracked from 0 to t along 2048 intermediate angles per turn.
     """
-    _require_valid(spec)
-    n = max(64, int(np.ceil(abs(t) / TWO_PI * resolution)))
+    n = max(64, int(np.ceil(abs(t) / TWO_PI * _ETA_RESOLUTION)))
     ts = np.linspace(0.0, float(t), n + 1)
     return float(eta_lift(spec, w, ts)[-1])
 
@@ -262,8 +284,6 @@ def baer_transversal_check(
     spec: LoopSpec,
     beta_grid: int = 64,
     t_grid: int = 4096,
-    *,
-    winding_tol: float = 1e-6,
 ) -> TransversalReport:
     """Check every sampled conjugate transversal for strict monotonicity.
 
@@ -276,7 +296,7 @@ def baer_transversal_check(
     betas = np.linspace(0.0, np.pi, beta_grid, endpoint=False)
     step, i, j, wind, w = _worst_step(_translation_lifts(spec, betas, ts, "right"))
     return TransversalReport(
-        passed=step > 0.0 and wind < winding_tol,
+        passed=step > 0.0 and wind < _WINDING_TOL,
         beta_count=beta_grid,
         t_count=t_grid,
         worst_margin=step,

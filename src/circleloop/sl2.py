@@ -93,6 +93,6 @@ def kh_decompose(
     return theta, UpperTriangular(a, b)
 
 
-def angle_of(m: np.ndarray, *, tol_det: float = TOL_DET) -> float:
+def angle_of(m: np.ndarray) -> float:
     """Coset angle of M, i.e. the rotation factor of its K*H split."""
-    return kh_decompose(m, tol_det=tol_det)[0]
+    return kh_decompose(m)[0]

@@ -7,15 +7,14 @@ Schema (version 1):
       "r":   {"a0": <number>, "cos": [<numbers>], "sin": [<numbers>]},
       "g":   {"const": <number>, "cos": [<numbers>], "sin": [<numbers>]},
       "grid_n": <int>,            # optional
-      "tolerances": {             # optional, any subset
-        "tol_eq": ..., "delta_strict": ..., "tol_root": ...
+      "tolerances": {             # optional, either or both
+        "tol_eq": ..., "delta_strict": ...
       }
     }
 
-tol_eq bounds |F(0) - 1| and |g(0)|, delta_strict is the margin F and Q
-must clear on the grid, tol_root the right-division bisection width.
-Every tolerance must be finite, tol_eq and delta_strict >= 0 and
-tol_root > 0.
+tol_eq bounds |F(0) - 1| and |g(0)|, and delta_strict is the margin F and
+Q must clear on the grid; both must be finite and >= 0.  Any other
+tolerance key is an error.
 
 "r" holds the weight series that generates the profile, "g" the shear.
 Floats are written with full round-trip precision, so a document written

@@ -145,13 +145,13 @@ def check_isomorphism_pair(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     )
 
 
-def check_psl2_quotient(spec: LoopSpec, *, tol: float = 1e-9) -> bool:
+def check_psl2_quotient(spec: LoopSpec) -> bool:
     """True iff f(pi) = 1 and g(pi) = 0, i.e. 1/f_inv(pi) = 1 and g(pi) = 0.
 
     When true, the loop is a double cover of a loop whose left-translation
     group is the rotation quotient of the unimodular group by its center.
     """
-    return run_psl2_suite(spec).worst_violation < tol
+    return run_psl2_suite(spec).passed
 
 
 def run_psl2_suite(spec: LoopSpec) -> SuiteResult:
@@ -210,9 +210,7 @@ def oracle_crosscheck_suite(
     )
 
 
-def run_suite(
-    spec: LoopSpec, name: str, seed: int = DEFAULT_SEED, grid_n: int = 64
-) -> list[SuiteResult]:
+def run_suite(spec: LoopSpec, name: str, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Dispatch one suite by name, or all of them for name 'all'.
 
     For 'all' the quotient predicate is included for information; whether
@@ -221,9 +219,9 @@ def run_suite(
     accordingly).
     """
     runners = {
-        "axioms": lambda: run_axiom_suite(spec, grid_n),
+        "axioms": lambda: run_axiom_suite(spec),
         "baer": lambda: run_baer_suite(spec),
-        "isomorphism": lambda: check_isomorphism_pair(spec, grid_n),
+        "isomorphism": lambda: check_isomorphism_pair(spec),
         "oracle": lambda: oracle_crosscheck_suite(spec, seed),
         "psl2": lambda: run_psl2_suite(spec),
     }

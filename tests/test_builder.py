@@ -369,9 +369,9 @@ class TestBuildLoopSpec:
             {"tol_eq": -1e-10},
             {"delta_strict": float("inf")},
             {"delta_strict": -1e-9},
-            {"tol_root": 0.0},
-            {"tol_root": -1e-12},
-            {"tol_root": float("nan")},
+            {"tol_eq": float("inf")},
+            {"delta_strict": float("nan")},
+            {"tol_eq": 1e-10, "delta_strict": -float("inf")},
         ],
     )
     def test_tolerances_fail_closed(self, bad):
@@ -386,6 +386,16 @@ class TestBuildLoopSpec:
             cos, sin = tuple(rng.normal(0.0, 0.3, k)), tuple(rng.normal(0.0, 0.3, k))
             w = FourierSeries(solve_a0(cos, sin), cos, sin)
             assert check_weight(w, 4096).positivity_margin == build_loop_spec(w).report.f_inv_min
+
+    def test_weight_identity_residual_is_f0_residual(self):
+        # check_weight and the build read |F(0) - 1| from the same Horner value
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            cos, sin = tuple(rng.normal(0.0, 0.3, k)), tuple(rng.normal(0.0, 0.3, k))
+            w = FourierSeries(solve_a0(cos, sin), cos, sin)
+            r = build_loop_spec(w).report
+            assert check_weight(w, r.grid_n).identity_residual == r.f0_residual
 
     def test_energy_series_built_once(self, monkeypatch):
         # f_inv * f_inv and f_inv' * f_inv', shared by every check of one build

@@ -97,7 +97,7 @@ class TestValidate:
         res = run_cli("validate", write_spec(tmp_path, "bad.json", INADMISSIBLE))
         machine = json.loads(res.stdout.strip().splitlines()[-1])
         assert set(machine) == REPORT_KEYS
-        assert set(machine["tolerances"]) == {"tol_eq", "delta_strict", "tol_root"}
+        assert set(machine["tolerances"]) == {"tol_eq", "delta_strict"}
         assert set(machine["failures"][0]) == {"condition", "where", "value"}
 
     def test_missing_file_exits_one(self):
@@ -128,6 +128,7 @@ EXAMPLE_FILE = str(SPECS / "example.json")
 @pytest.mark.parametrize(
     "argv",
     [
+        # --tol-root and the spec key tol_root are gone: naming them is a usage error
         ("--tol-root", "0", "validate", INADMISSIBLE_FILE),
         ("--tol-root", "-1e-12", "validate", INADMISSIBLE_FILE),
         ("--tol-eq", "nan", "validate", INADMISSIBLE_FILE),
@@ -241,6 +242,22 @@ class TestPlotData:
         run_cli("--grid", "256", "plot-data", spec, "-o", str(out))
         disc = [float(l.split(",")[4]) for l in out.read_text().splitlines()[1:]]
         assert max(disc) < 0
+
+    @pytest.mark.parametrize(
+        "name", sorted(name for name, (code, _) in FIXTURE_VERDICTS.items() if code == 0)
+    )
+    def test_columns_are_the_verdict_samples(self, tmp_path, name):
+        # f and disc come from the grid samples the verdict read: their
+        # maxima print as validate's 1/profile_min and discriminant_max
+        res = run_cli("validate", str(SPECS / name))
+        machine = json.loads(res.stdout.strip().splitlines()[-1])
+        out = tmp_path / "plot.csv"
+        assert run_cli("plot-data", str(SPECS / name), "-o", str(out)).returncode == 0
+        lines = out.read_text().splitlines()[1:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert len(rows) == machine["grid_n"]
+        assert f"{rows[:, 4].max():.12g}" == f"{machine['discriminant_max']:.12g}"
+        assert f"{rows[:, 1].max():.12g}" == f"{1.0 / machine['profile_min']:.12g}"
 
     def test_invalid_spec_writes_nothing(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", INADMISSIBLE)

@@ -185,6 +185,10 @@ class TestDerivative:
         s = FourierSeries(0.9, (0.2, 0.1), (0.0, 0.3))
         assert s.derivative() is s.derivative()
 
+    def test_antiderivative_series_built_once(self):
+        s = FourierSeries(0.9, (0.2, 0.1), (0.0, 0.3))
+        assert s._antiderivative is s._antiderivative
+
 
 class TestExpWeightedIntegral:
     def test_constant_full_period(self):

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,13 +186,12 @@ class TestDivisions:
             _rdiv_unchecked(spec, _mul_unchecked(spec, aa, bb), bb)
 
     def test_non_finite_points_give_nan(self, example_spec):
-        with np.errstate(invalid="ignore"):  # cos(inf) in mul and ldiv
-            for op in (mul, ldiv, rdiv):
-                assert np.isnan(op(example_spec, np.nan, 1.0))
-                assert np.isnan(op(example_spec, 1.0, np.inf))
-        got = rdiv(example_spec, np.array([2.0, np.nan, 2.0, -np.inf]), 1.0)
-        assert np.isnan(got[[1, 3]]).all()
-        assert got[0] == got[2] == rdiv(example_spec, 2.0, 1.0)
+        for op in (mul, ldiv, rdiv):
+            assert np.isnan(op(example_spec, np.nan, 1.0))
+            assert np.isnan(op(example_spec, 1.0, np.inf))
+            got = op(example_spec, np.array([2.0, np.nan, 2.0, -np.inf]), 1.0)
+            assert np.isnan(got[[1, 3]]).all()
+            assert got[0] == got[2] == op(example_spec, 2.0, 1.0)
 
     def test_rdiv_residual_check_fails_on_nan(self, example_spec, monkeypatch):
         from circleloop import ops
@@ -282,6 +282,47 @@ class TestTranslationLifts:
         step, row, col, wind, wind_row = _worst_step(lifts)
         assert (step, row, col) == (-0.5, 1, 1)
         assert wind == pytest.approx(0.1, abs=1e-12) and wind_row == 1
+
+
+OPERATIONS = {
+    "mul": mul,
+    "ldiv": ldiv,
+    "rdiv": rdiv,
+    "eta": eta,
+    "eta_lift": lambda spec, w, t: eta_lift(spec, w, np.array([0.0, t, 1.0]))[1],
+    "section": lambda spec, t: section(spec, t).matrix,
+}
+
+
+class TestOperationGate:
+    """One gate: a valid spec, and NaN wherever an argument is not finite, with no warning."""
+
+    @pytest.mark.parametrize("op", sorted(OPERATIONS))
+    @pytest.mark.parametrize("arg", [0.5, np.nan])
+    def test_invalid_spec_rejected(self, op, arg):
+        bad = build_loop_spec(FourierSeries(0.5))
+        with pytest.raises(InvalidSpecError):
+            OPERATIONS[op](bad, *([arg] if op == "section" else [arg, 0.7]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "op, position",
+        [(op, i) for op in ("mul", "ldiv", "rdiv", "eta", "eta_lift") for i in (0, 1)]
+        + [("section", 0)],
+    )
+    def test_gives_nan_silently(self, example_spec, op, position, bad):
+        args = [0.5] if op == "section" else [0.5, 0.7]
+        args[position] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = OPERATIONS[op](example_spec, *args)
+        assert np.isnan(out).all()
+
+    def test_lift_masks_only_the_bad_sample(self, example_spec):
+        ts = np.array([0.0, 0.5, np.inf, 1.0])
+        lift = eta_lift(example_spec, 0.5, ts)
+        assert np.isnan(lift[2]) and np.isfinite(lift[[0, 1, 3]]).all()
+        assert lift[1] == eta_lift(example_spec, 0.5, ts[:2])[1]
 
 
 class TestEtaDerivativeExpr:
