@@ -13,18 +13,22 @@ says y is the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a),
 with U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection
 on the monotone lift of the right translation.
 
-One kernel, `_coset_angle`, gives the coset angle of
-rot(x) @ [[p, q], [0, r]] @ rot(y); multiplication, left division and
-the left and right translation lifts below are each one call of it.
+One formula, `_coset_column`, gives the coset column of
+[[p, q], [0, r]] @ rot(y), and `_coset_angle` the coset angle of
+rot(x) @ [[p, q], [0, r]] @ rot(y); multiplication and left division are
+each one call of the second, and the translation scan reads the first.
 
 For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
 cosets of the conjugated stabilizer.  It is the right translation by beta
 shifted by -beta, eta_beta(t) = t * beta - beta.  The section defines a
 loop exactly when every eta_beta is strictly increasing with winding one;
-the transversal check samples that directly on the lifts of
-`_translation_lifts`, and `transitivity_quadratic` evaluates the
-equivalent quadratic-in-w positivity condition.
+the transversal check reads that directly from the forward steps of
+`_translation_steps`, the signed angles between consecutive coset
+columns, and `transitivity_quadratic` evaluates the equivalent
+quadratic-in-w positivity condition.  For a valid spec `eta` is closed
+form: eta_beta rises from 0 to 2*pi over each turn, so its lift at t is
+its value on the turn of t plus 2*pi per whole turn.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builder import LoopSpec
-from .errors import InvalidSpecError, RootNotBracketedError
+from .errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
 from .fourier import TWO_PI
 from .sl2 import rot
 
@@ -43,9 +47,10 @@ from .sl2 import rot
 _DIV_RESIDUAL_LIMIT = 1e-6
 #: halvings of [0, 2*pi] in right division: a final bracket 2*pi/2^51 = 2.8e-15 wide
 _BISECTION_STEPS = 51
-#: intermediate angles per turn along which `eta` tracks its lift
-_ETA_RESOLUTION = 2048
-#: largest winding error |lift(2pi) - lift(0) - 2pi| a transversal may show
+#: distance from a multiple of 2*pi within which an `eta` value is that
+#: multiple, far above the rounding of `_mul_unchecked`
+_SNAP_TOL = 1e-12
+#: largest winding error |sum of steps - 2*pi| a transversal may show
 _WINDING_TOL = 1e-6
 
 
@@ -79,16 +84,24 @@ def _operation(op):
     return checked
 
 
+def _coset_column(p, q, r, y):
+    """Coset column of [[p, q], [0, r]] @ rot(y): (p cos y - q sin y, r sin y).
+
+    The first column of that matrix is (p cos y - q sin y, -r sin y); with
+    rot clockwise, its coset angle is the polar angle of this vector.  The
+    one formula behind every loop operation and the translation scan.
+    """
+    cy, sy = np.cos(y), np.sin(y)
+    return p * cy - q * sy, r * sy
+
+
 def _coset_angle(p, q, r, x, y):
     """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi].
 
-    The one formula behind every loop operation and translation lift: the
-    first column of [[p, q], [0, r]] @ rot(y) is (p cos y - q sin y,
-    -r sin y), rotated by x in matrix form, which stays smooth where a
-    tan-quotient formula has poles.
+    The coset column of `_coset_column` rotated by x in matrix form, which
+    stays smooth where a tan-quotient formula has poles.
     """
-    cy, sy = np.cos(y), np.sin(y)
-    radial, rs = p * cy - q * sy, r * sy
+    radial, rs = _coset_column(p, q, r, y)
     cx, sx = np.cos(x), np.sin(x)
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
@@ -169,39 +182,65 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     return x if x.shape else float(x)
 
 
-def _translation_lifts(spec: LoopSpec, anchors, ts, side: str) -> np.ndarray:
-    """Lifts along ts of every translation by an anchor, shifted by the anchor.
+def _translation_steps(spec: LoopSpec, anchors, ts, side: str) -> np.ndarray:
+    """Forward steps along ts of every translation by an anchor.
 
-    Row i is the lift of t -> a_i * t - a_i (side "left") or of
-    t -> t * a_i - a_i = eta_{a_i}(t) (side "right"), unwrapped along ts
-    and starting from the value at ts[0].  Both are the coset angle of
+    Row i, column j is the step from ts[j] to ts[j + 1] of the lift of
+    t -> a_i * t (side "left") or of t -> t * a_i (side "right"), whose
+    shift by -a_i is eta_{a_i}.  Both are the coset angle of
     rot(x) @ [[f(u), g(u)], [0, f_inv(u)]] @ rot(y), with (x, u, y) =
     (0, a, t) on the left and (t - a, t, a) on the right, so f_inv and g
-    are sampled once per anchor or once per angle.  The shift leaves every
-    step and the winding of the translation unchanged.
+    are sampled once per anchor or once per angle.  A step is the signed
+    angle between consecutive coset columns of `_coset_column`, plus on
+    the right the increment of x; a right step above pi is taken 2*pi
+    back, so every step lies in (-pi, pi] as an unwrapped lift reads it.
     """
     anchors = np.asarray(anchors, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
-    if side == "left":
-        u, x, y = anchors, 0.0, ts
-    else:
-        u, x, y = ts, ts - anchors, anchors
+    u, y = (anchors, ts) if side == "left" else (ts, anchors)
     fh = spec.f_inv(u)
-    return np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1)
+    c, s = _coset_column(1.0 / fh, spec.g(u), fh, y)
+    c0, c1, s0, s1 = c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:]
+    steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1)
+    if side == "right":
+        steps += np.diff(ts)
+        steps[steps > np.pi] -= TWO_PI
+    return steps
 
 
-def _worst_step(lifts: np.ndarray) -> tuple[float, int, int, float, int]:
-    """Scan a stack of lifts for monotonicity and unit winding.
+def _worst_step(steps: np.ndarray) -> tuple[float, int, int, float, int]:
+    """Scan a stack of forward steps for monotonicity and unit winding.
 
-    Returns the smallest forward step of any row with its (row, column),
-    then the largest winding error |lift[-1] - lift[0] - 2*pi| with its
-    row; ties go to the first row and column.
+    Returns the smallest step of any row with its (row, column), then the
+    largest winding error |sum of the row's steps - 2*pi| with its row;
+    ties go to the first row and column.
     """
-    steps = np.diff(lifts, axis=-1)
     row, col = np.unravel_index(int(steps.argmin()), steps.shape)
-    winding = np.abs(lifts[:, -1] - lifts[:, 0] - TWO_PI)
+    winding = np.abs(steps.sum(axis=-1) - TWO_PI)
     w = int(winding.argmax())
     return float(steps[row, col]), int(row), int(col), float(winding[w]), w
+
+
+def _require_points(**sizes: int) -> None:
+    """InvalidGridError naming the first scan grid size below one point."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise InvalidGridError(f"{name} must be at least 1, got {n}")
+
+
+def _eta_turns(spec: LoopSpec, w, t):
+    """eta_w at t as (value on the turn of t, in [0, 2*pi], whole turns of t).
+
+    For a valid spec eta_w rises strictly from eta_w(0) = 0 to 2*pi over
+    [0, 2*pi], so on the turn of t it is (tau * beta - beta) mod 2*pi with
+    tau = t mod 2*pi and beta = arctan w.  A value within rounding of 0
+    or 2*pi is snapped to the end of the turn that tau is nearer.
+    """
+    beta = np.arctan(w)
+    turns, tau = np.divmod(np.asarray(t, dtype=float), TWO_PI)
+    value = (_mul_unchecked(spec, tau, beta) - beta) % TWO_PI
+    at_end = np.minimum(value, TWO_PI - value) < _SNAP_TOL
+    return np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value), turns
 
 
 @_operation
@@ -210,9 +249,11 @@ def eta_lift(spec: LoopSpec, w: float, ts: np.ndarray) -> np.ndarray:
 
     Starts at eta_w(ts[0]) reduced to (-pi, pi]; for ts[0] = 0 that is
     eta_w(0) = 0.  Like every operation it needs a valid spec; a
-    non-finite sample reads NaN, and the lift steps across it as across 0.
+    non-finite sample reads NaN.  Closed form at each sample, so the
+    lift does not depend on how densely ts samples the turn.
     """
-    return _translation_lifts(spec, [np.arctan(w)], ts, "right")[0]
+    value, turns = _eta_turns(spec, w, ts)
+    return value + TWO_PI * (turns - turns[:1] - (value[:1] > np.pi))
 
 
 @_operation
@@ -220,11 +261,10 @@ def eta(spec: LoopSpec, w: float, t: float) -> float:
     """Continuous lift of eta_w at a single angle, anchored at eta_w(0) = 0.
 
     eta_0(t) = t for every spec, and for the trivial spec eta_w(t) = t for
-    all w.  Tracked from 0 to t along 2048 intermediate angles per turn.
+    all w.  Closed form: one loop product, whatever the size of t.
     """
-    n = max(64, int(np.ceil(abs(t) / TWO_PI * _ETA_RESOLUTION)))
-    ts = np.linspace(0.0, float(t), n + 1)
-    return float(eta_lift(spec, w, ts)[-1])
+    value, turns = _eta_turns(spec, w, t)
+    return float(value + TWO_PI * turns)
 
 
 def transitivity_quadratic(spec: LoopSpec, w, t):
@@ -273,10 +313,10 @@ class TransversalReport:
     passed: bool
     beta_count: int
     t_count: int
-    worst_margin: float        # smallest forward difference of any lift
+    worst_margin: float        # smallest forward step of any eta_beta
     worst_beta: float
     worst_t: float
-    worst_winding_error: float  # largest |lift(2pi) - lift(0) - 2pi|
+    worst_winding_error: float  # largest |sum of the steps - 2pi|
     worst_winding_beta: float
 
 
@@ -290,11 +330,13 @@ def baer_transversal_check(
     For beta on a uniform grid over [0, pi) (conjugation by rot(beta) and
     rot(beta + pi) agree), the lift of eta_beta over [0, 2*pi] must be
     strictly increasing and gain exactly 2*pi.  Does not require a valid
-    spec: this is the check that exposes a corrupted one.
+    spec: this is the check that exposes a corrupted one.  Both grids need
+    at least one point, else InvalidGridError.
     """
+    _require_points(beta_grid=beta_grid, t_grid=t_grid)
     ts = np.linspace(0.0, TWO_PI, t_grid + 1)
     betas = np.linspace(0.0, np.pi, beta_grid, endpoint=False)
-    step, i, j, wind, w = _worst_step(_translation_lifts(spec, betas, ts, "right"))
+    step, i, j, wind, w = _worst_step(_translation_steps(spec, betas, ts, "right"))
     return TransversalReport(
         passed=step > 0.0 and wind < _WINDING_TOL,
         beta_count=beta_grid,

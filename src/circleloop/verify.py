@@ -47,16 +47,18 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     rdiv(x*a, a) must return x itself, which also exercises uniqueness of
     the solutions, not merely the residual of some solution.
 
-    Monotonicity scans, on a 4097-point grid, the lifts of t -> a * t for
-    every grid anchor a and of t -> t * a for the anchors in [0, pi):
-    t * (a + pi) is t * a turned by pi, with the same steps.  Its
-    violation is the worst backward step, or the worst winding error once
-    that reaches 1e-6.  For
+    Monotonicity reads, on a 4097-point grid, the forward steps of
+    t -> a * t for every grid anchor a and of t -> t * a for the anchors
+    in [0, pi): t * (a + pi) is t * a turned by pi, with the same steps.
+    Each step is the signed angle between consecutive coset columns, so no
+    lift is unwrapped.  Its violation is the worst backward step, or the
+    worst winding error |sum of steps - 2*pi| once that reaches 1e-6.  For
     a valid spec every such map is a strictly increasing degree-1 circle
     map; a failing right translation is precisely a failure of sharp
     transitivity (two left translations carrying the anchor to the same
-    point).
+    point).  grid_n below 1 raises InvalidGridError.
     """
+    ops._require_points(grid_n=grid_n)
     angles = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     aa, bb = np.meshgrid(angles, angles, indexing="ij")
     details: list[Detail] = []
@@ -90,7 +92,7 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
 
     ts = np.linspace(0.0, TWO_PI, 4097)
     for side, anchors in (("left", angles), ("right", angles[angles < np.pi])):
-        step, i, j, wind, _ = ops._worst_step(ops._translation_lifts(spec, anchors, ts, side))
+        step, i, j, wind, _ = ops._worst_step(ops._translation_steps(spec, anchors, ts, side))
         violation = max(0.0, -step, 0.0 if wind < 1e-6 else wind)
         details.append(
             (f"{side}-translation-monotonicity", (float(anchors[i]), float(ts[j])), violation)

@@ -1,8 +1,11 @@
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circleloop import (
     FourierSeries,
@@ -24,17 +27,19 @@ from circleloop import (
     transitivity_quadratic,
     upper,
 )
-from circleloop.errors import InvalidSpecError, RootNotBracketedError
+from circleloop.errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
 from circleloop.ops import (
+    _coset_angle,
     _ldiv_unchecked,
     _mul_unchecked,
     _rdiv_unchecked,
-    _translation_lifts,
+    _translation_steps,
     _worst_step,
 )
 from circleloop.specfile import load_spec_file
+from circleloop.verify import run_axiom_suite
 
-from conftest import circ_dist
+from conftest import circ_dist, random_admissible_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -78,6 +83,21 @@ def reference_eta_lift(spec, beta: float, ts):
     radial = f * cb - g * sb
     ctb, stb = np.cos(ts - beta), np.sin(ts - beta)
     return np.unwrap(np.arctan2(radial * stb + fh * sb * ctb, radial * ctb - fh * sb * stb))
+
+
+def reference_translation_steps(spec, anchors, ts, side: str):
+    """Reference forward steps: each translation's coset angles along ts, unwrapped, then differenced."""
+    anchors = np.asarray(anchors, dtype=float)[:, None]
+    if side == "left":
+        u, x, y = anchors, 0.0, ts
+    else:
+        u, x, y = ts, ts - anchors, anchors
+    fh = spec.f_inv(u)
+    return np.diff(np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1), axis=-1)
+
+
+#: negative anchors too: a step does not depend on the anchor's turn
+SCAN_ANCHORS = np.concatenate([np.linspace(0.0, TWO_PI, 16, endpoint=False), [-1.2, -0.3]])
 
 
 def mod_pi_dist(x, y):
@@ -254,16 +274,57 @@ class TestEta:
         assert np.max(np.abs(np.diff(lift))) < 0.05  # no branch jumps
         assert lift[-1] - lift[0] == pytest.approx(TWO_PI, abs=1e-9)
 
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    def test_lift_matches_reference_eta(self, name):
+        spec = spec_from_file(name)
+        if not spec.verdict:
+            with pytest.raises(InvalidSpecError):
+                eta_lift(spec, 0.7, np.zeros(2))
+            return
+        for ts in (np.linspace(0.0, TWO_PI, 1025), np.linspace(-3.0, 20.0, 8193)):
+            for beta in (-1.2, -0.3, 0.0, 0.6, 1.5):
+                lift = eta_lift(spec, float(np.tan(beta)), ts)
+                assert np.max(np.abs(lift - reference_eta_lift(spec, beta, ts))) <= 1e-12
+
+    def test_whole_turns_are_exact(self):
+        # eta_w(2*pi*m) = 2*pi*m, though the rounded product may land just short of a turn
+        rng = np.random.default_rng(79)
+        for _ in range(8):
+            spec = random_admissible_spec(rng, 8)
+            for w in np.tan(np.linspace(-1.5, 1.5, 13)):
+                for t in (0.0, TWO_PI, -TWO_PI, 3 * TWO_PI, -1e-17):
+                    assert eta(spec, float(w), t) == pytest.approx(t, abs=1e-12)
+
+    def test_far_angle_is_closed_form(self, example_spec, trivial_spec):
+        # t = 1e6 is about 1.6e5 turns, and eta reads it with one product
+        start = time.perf_counter()
+        far = eta(example_spec, 0.7, 1e6)
+        assert time.perf_counter() - start < 1.0
+        turns, tau = divmod(1e6, TWO_PI)
+        assert far == pytest.approx(eta(example_spec, 0.7, tau) + TWO_PI * turns, abs=1e-9)
+        turns = np.ceil(1e6 / TWO_PI)
+        back = eta(example_spec, 0.7, -1e6 + TWO_PI * turns) - TWO_PI * turns
+        assert eta(example_spec, 0.7, -1e6) == pytest.approx(back, abs=1e-9)
+        assert eta(trivial_spec, 0.7, 1e6) == pytest.approx(1e6, abs=1e-9)
+
 
 class TestTranslationLifts:
     @pytest.mark.parametrize("name", SPEC_FILES)
     def test_right_lifts_match_reference_eta(self, name):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
-        betas = np.concatenate([np.linspace(0.0, np.pi, 16, endpoint=False), [-1.2, -0.3]])
-        lifts = _translation_lifts(spec, betas, ts, "right")
-        for beta, lift in zip(betas, lifts):
-            assert np.max(np.abs(lift - reference_eta_lift(spec, float(beta), ts))) <= 1e-12
+        steps = _translation_steps(spec, SCAN_ANCHORS, ts, "right")
+        for beta, row in zip(SCAN_ANCHORS, steps):
+            assert np.max(np.abs(row - np.diff(reference_eta_lift(spec, float(beta), ts)))) <= 1e-12
+
+    @pytest.mark.parametrize("name", SPEC_FILES + ["k64"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_steps_match_unwrapped_reference(self, name, side):
+        spec = spec_from_file(name)
+        ts = np.linspace(0.0, TWO_PI, 4097)
+        steps = _translation_steps(spec, SCAN_ANCHORS, ts, side)
+        reference = reference_translation_steps(spec, SCAN_ANCHORS, ts, side)
+        assert np.max(np.abs(steps - reference)) <= 1e-12
 
     @pytest.mark.parametrize("name", SPEC_FILES)
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -271,17 +332,41 @@ class TestTranslationLifts:
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
         anchors = np.linspace(0.0, TWO_PI, 12, endpoint=False)
-        lifts = _translation_lifts(spec, anchors, ts, side)
-        for a, lift in zip(anchors, lifts):
+        steps = _translation_steps(spec, anchors, ts, side)
+        for a, row in zip(anchors, steps):
             img = _mul_unchecked(spec, a, ts) if side == "left" else _mul_unchecked(spec, ts, a)
-            assert np.max(circ_dist(lift, img - a)) < 1e-12
-            assert np.max(np.abs(np.diff(lift) - np.diff(np.unwrap(img)))) < 1e-12
+            assert np.max(np.abs(row - np.diff(np.unwrap(img)))) < 1e-12
+            # the steps carry the translation from its first image to every other
+            walked = img[0] + np.concatenate(([0.0], np.cumsum(row)))
+            assert np.max(circ_dist(walked, img)) < 1e-12
 
     def test_worst_step_locates_step_and_winding(self):
-        lifts = np.array([[0.0, 1.0, 2.0, TWO_PI], [0.0, 3.0, 2.5, TWO_PI + 0.1]])
-        step, row, col, wind, wind_row = _worst_step(lifts)
+        # row 1 holds a wrapped step: its raw step 2*pi - 2 above pi read as -2;
+        # row 3 repeats it, and ties go to the first row
+        steps = np.array([
+            [1.0, 2.0, TWO_PI - 3.0],
+            [2.0, -2.0, 2.0],
+            [3.0, -0.5, TWO_PI - 2.4],
+            [2.0, -2.0, 2.0],
+        ])
+        step, row, col, wind, wind_row = _worst_step(steps)
+        assert (step, row, col) == (-2.0, 1, 1)
+        assert wind == pytest.approx(TWO_PI - 2.0, abs=1e-12) and wind_row == 1
+        step, row, col, wind, wind_row = _worst_step(steps[[0, 2]])
         assert (step, row, col) == (-0.5, 1, 1)
         assert wind == pytest.approx(0.1, abs=1e-12) and wind_row == 1
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_k=st.sampled_from([1, 4, 16]))
+    def test_admissible_steps_are_forward_with_unit_winding(self, seed, max_k):
+        # random_admissible_spec shrinks until Q stays well above 0
+        spec = random_admissible_spec(np.random.default_rng(seed), max_k)
+        ts = np.linspace(0.0, TWO_PI, 4097)
+        anchors = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+        for side in ("left", "right"):
+            steps = _translation_steps(spec, anchors, ts, side)
+            assert steps.min() > 0.0
+            assert np.max(np.abs(steps.sum(axis=-1) - TWO_PI)) < 1e-12
 
 
 OPERATIONS = {
@@ -379,3 +464,23 @@ class TestTransversalCheck:
         w = float(np.tan(rep.worst_beta)) if abs(rep.worst_beta - np.pi / 2) > 1e-9 else 1e12
         ts = np.linspace(0, TWO_PI, 2049)
         assert np.min(transitivity_quadratic(corrupted_spec, w, ts)) < 0
+
+    def test_one_step_per_turn_fails(self, example_spec, trivial_spec):
+        # a single step of 2*pi reads as about 0, so the winding is lost
+        for spec in (example_spec, trivial_spec):
+            rep = baer_transversal_check(spec, 4, 1)
+            assert not rep.passed
+            assert rep.worst_winding_error == pytest.approx(TWO_PI, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "scan, name",
+        [
+            (lambda spec: baer_transversal_check(spec, 0, 4096), "beta_grid"),
+            (lambda spec: baer_transversal_check(spec, 64, 0), "t_grid"),
+            (lambda spec: baer_transversal_check(spec, -3, 4096), "beta_grid"),
+            (lambda spec: run_axiom_suite(spec, 0), "grid_n"),
+        ],
+    )
+    def test_empty_grid_is_invalid(self, example_spec, scan, name):
+        with pytest.raises(InvalidGridError, match=name):
+            scan(example_spec)
