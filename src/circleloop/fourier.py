@@ -333,8 +333,9 @@ def check_weight(
 def simpson_quadrature(fn: Callable, lo: float, hi: float, n: int) -> float:
     """Composite Simpson rule with n subintervals (n even), error O(n^-4).
 
-    Independent numerical oracle used to cross-check every closed form in
-    this package; `fn` must accept a numpy array.
+    The tests' independent reference rule for the closed forms of this
+    package (the oracle suite integrates by Gauss–Legendre instead); `fn`
+    must accept a numpy array.
     """
     if n < 2 or n % 2 != 0:
         raise InvalidGridError(f"Simpson rule needs an even n >= 2, got {n}")

@@ -97,3 +97,24 @@ def random_admissible_spec(rng: np.random.Generator, max_k: int = 4) -> LoopSpec
             return spec
         gcos, gsin = gcos * 0.6, gsin * 0.6
     raise AssertionError("could not shrink shear to admissibility")
+
+
+def dense_admissible_spec(seed: int, k: int) -> LoopSpec:
+    """Seeded admissible spec with k harmonics in the profile and the shear.
+
+    Built profile first, as the benchmark's dense specs are: F = 1 + dF with
+    dF(0) = 0 and coefficients decaying like 1/j^2, scaled so |dF| <= 0.2,
+    and a shear scaled so |g'| <= 0.05.  The weight's coefficients are the
+    profile's times (1 - ij), so they decay only like 1/j.
+    """
+    rng = np.random.default_rng(seed)
+    j = np.arange(1, k + 1)
+    pc, ps, gc, gs = rng.normal(size=(4, k)) / j**2
+    scale = 0.2 / (np.abs(2 * pc).sum() + np.abs(ps).sum())
+    pc, ps = scale * pc, scale * ps
+    weight = FourierSeries(1.0 - pc.sum(), pc - j * ps, ps + j * pc)
+    scale = 0.05 / (j * (np.abs(gc) + np.abs(gs))).sum()
+    gc, gs = scale * gc, scale * gs
+    spec = build_loop_spec(weight, FourierSeries(solve_g_const(tuple(gc)), gc, gs))
+    assert spec.report.verdict, spec.report.failures
+    return spec

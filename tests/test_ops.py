@@ -27,6 +27,7 @@ from circleloop import (
     transitivity_quadratic,
     upper,
 )
+from circleloop import ops
 from circleloop.errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
 from circleloop.ops import (
     _coset_angle,
@@ -94,6 +95,19 @@ def reference_translation_steps(spec, anchors, ts, side: str):
         u, x, y = ts, ts - anchors, anchors
     fh = spec.f_inv(u)
     return np.diff(np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1), axis=-1)
+
+
+def stacked_steps(spec, anchors, ts, side: str) -> np.ndarray:
+    """The row blocks of `_translation_steps`, stacked into one matrix."""
+    return np.vstack(list(_translation_steps(spec, anchors, ts, side)))
+
+
+def one_shot_worst_step(steps):
+    """`_worst_step` as one reduction of the whole stacked matrix."""
+    row, col = np.unravel_index(int(steps.argmin()), steps.shape)
+    winding = np.abs(steps.sum(axis=-1) - TWO_PI)
+    w = int(winding.argmax())
+    return float(steps[row, col]), int(row), int(col), float(winding[w]), w
 
 
 #: negative anchors too: a step does not depend on the anchor's turn
@@ -313,7 +327,7 @@ class TestTranslationLifts:
     def test_right_lifts_match_reference_eta(self, name):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
-        steps = _translation_steps(spec, SCAN_ANCHORS, ts, "right")
+        steps = stacked_steps(spec, SCAN_ANCHORS, ts, "right")
         for beta, row in zip(SCAN_ANCHORS, steps):
             assert np.max(np.abs(row - np.diff(reference_eta_lift(spec, float(beta), ts)))) <= 1e-12
 
@@ -322,7 +336,7 @@ class TestTranslationLifts:
     def test_steps_match_unwrapped_reference(self, name, side):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 4097)
-        steps = _translation_steps(spec, SCAN_ANCHORS, ts, side)
+        steps = stacked_steps(spec, SCAN_ANCHORS, ts, side)
         reference = reference_translation_steps(spec, SCAN_ANCHORS, ts, side)
         assert np.max(np.abs(steps - reference)) <= 1e-12
 
@@ -332,7 +346,7 @@ class TestTranslationLifts:
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
         anchors = np.linspace(0.0, TWO_PI, 12, endpoint=False)
-        steps = _translation_steps(spec, anchors, ts, side)
+        steps = stacked_steps(spec, anchors, ts, side)
         for a, row in zip(anchors, steps):
             img = _mul_unchecked(spec, a, ts) if side == "left" else _mul_unchecked(spec, ts, a)
             assert np.max(np.abs(row - np.diff(np.unwrap(img)))) < 1e-12
@@ -349,12 +363,47 @@ class TestTranslationLifts:
             [3.0, -0.5, TWO_PI - 2.4],
             [2.0, -2.0, 2.0],
         ])
-        step, row, col, wind, wind_row = _worst_step(steps)
+        step, row, col, wind, wind_row = _worst_step([steps])
         assert (step, row, col) == (-2.0, 1, 1)
         assert wind == pytest.approx(TWO_PI - 2.0, abs=1e-12) and wind_row == 1
-        step, row, col, wind, wind_row = _worst_step(steps[[0, 2]])
+        step, row, col, wind, wind_row = _worst_step([steps[[0, 2]]])
         assert (step, row, col) == (-0.5, 1, 1)
         assert wind == pytest.approx(0.1, abs=1e-12) and wind_row == 1
+
+    def test_worst_step_merges_blocks_in_row_order(self):
+        steps = np.array([
+            [1.0, 2.0, TWO_PI - 3.0],
+            [2.0, -2.0, 2.0],
+            [-2.0, 3.0, TWO_PI - 3.0],
+            [1.0, np.nan, 1.0],
+        ])
+        # the minimum tied across the block boundary: the first row wins
+        assert _worst_step([steps[:2], steps[2:3]])[:3] == (-2.0, 1, 1)
+        assert _worst_step([steps[:1], steps[1:3]])[3:] == (pytest.approx(TWO_PI - 2.0), 1)
+        # a NaN step in a later block wins, as one argmin over the stack reads it
+        step, row, col, wind, wind_row = _worst_step([steps[:2], steps[2:]])
+        assert np.isnan(step) and (row, col) == (3, 1)
+        assert np.isnan(wind) and wind_row == 3
+
+    @pytest.mark.parametrize("count", [1, 5, 13, 64, 100])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_blocked_worst_step_equals_one_shot(self, corrupted_spec, example_spec, side, count):
+        ts = np.linspace(0.0, TWO_PI, 4097)
+        anchors = np.linspace(0.0, TWO_PI, count, endpoint=False)
+        for spec in (corrupted_spec, example_spec):
+            blocked = _worst_step(_translation_steps(spec, anchors, ts, side))
+            assert blocked == one_shot_worst_step(stacked_steps(spec, anchors, ts, side))
+
+    def test_tie_across_scan_blocks_goes_to_first_row(self, corrupted_spec):
+        # the worst anchor twice, in the last row of one block and the first of the next
+        ts = np.linspace(0.0, TWO_PI, 4097)
+        anchors = np.linspace(0.0, np.pi, 64, endpoint=False)
+        worst = anchors[_worst_step(_translation_steps(corrupted_spec, anchors, ts, "right"))[1]]
+        rows = ops._SCAN_ROWS
+        tied = np.concatenate([np.full(rows - 1, 0.1), [worst, worst], np.full(rows, 0.1)])
+        step, row, col, _, _ = _worst_step(_translation_steps(corrupted_spec, tied, ts, "right"))
+        assert step < 0.0 and row == rows - 1
+        assert one_shot_worst_step(stacked_steps(corrupted_spec, tied, ts, "right"))[:3] == (step, row, col)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), max_k=st.sampled_from([1, 4, 16]))
@@ -364,7 +413,7 @@ class TestTranslationLifts:
         ts = np.linspace(0.0, TWO_PI, 4097)
         anchors = np.linspace(0.0, TWO_PI, 16, endpoint=False)
         for side in ("left", "right"):
-            steps = _translation_steps(spec, anchors, ts, side)
+            steps = stacked_steps(spec, anchors, ts, side)
             assert steps.min() > 0.0
             assert np.max(np.abs(steps.sum(axis=-1) - TWO_PI)) < 1e-12
 

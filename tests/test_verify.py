@@ -1,3 +1,7 @@
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,11 +15,13 @@ from circleloop import (
     run_axiom_suite,
     run_baer_suite,
     run_suite,
+    verify,
 )
-from circleloop.errors import UnknownSuiteError
+from circleloop.errors import InvalidGridError, UnknownSuiteError
+from circleloop.specfile import SpecDocument, dump_spec_file
 from circleloop.verify import DEFAULT_SEED, run_psl2_suite
 
-from conftest import circ_dist, random_admissible_spec
+from conftest import circ_dist, dense_admissible_spec, random_admissible_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,6 +94,11 @@ class TestIsomorphismPair:
             assert res.passed, res.details
             assert res.worst_violation < 1e-8
 
+    @pytest.mark.parametrize("grid_n", [0, -2])
+    def test_empty_grid_is_invalid(self, example_spec, grid_n):
+        with pytest.raises(InvalidGridError, match="grid_n"):
+            check_isomorphism_pair(example_spec, grid_n)
+
     def test_identity_intertwiner_sanity_floor(self, shear_spec):
         # the same spec against itself under the identity map is exact
         angles = np.linspace(0, TWO_PI, 16, endpoint=False)
@@ -139,6 +150,58 @@ class TestOracleSuite:
             spec = random_admissible_spec(rng)
             res = oracle_crosscheck_suite(spec, samples=8)
             assert res.passed, (spec.weight, res.worst_violation)
+
+
+    @pytest.mark.parametrize("k", [128, 256])
+    def test_dense_large_k_passes(self, k, tmp_path):
+        # 1024-interval Simpson rules read these admissible specs as failing,
+        # at 2.7e-8 (K = 128) and 2.4e-7 (K = 256) against the 1e-8 tolerance
+        spec = dense_admissible_spec(0, k)
+        res = oracle_crosscheck_suite(spec)
+        assert res.passed, res.details[0]
+        assert res.worst_violation < 1e-10
+        path = tmp_path / "dense.json"
+        dump_spec_file(SpecDocument(spec.weight, spec.g), path)
+        out = subprocess.run(
+            [sys.executable, "-m", "circleloop.cli", "check", str(path), "--suite", "oracle"],
+            capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "PASS oracle" in out.stdout
+
+    @pytest.mark.parametrize(
+        "name", ["f_inv-closed-vs-integral", "exp-weighted-integral", "subfunction-bound"]
+    )
+    def test_wrong_closed_form_fails_on_top(self, example_spec, monkeypatch, name):
+        spec = example_spec
+        if name == "f_inv-closed-vs-integral":
+            f_inv = spec.f_inv
+            spec = dataclasses.replace(
+                spec, f_inv=FourierSeries(f_inv.a0 + 1e-7, f_inv.cos, f_inv.sin)
+            )
+        elif name == "exp-weighted-integral":
+            closed = FourierSeries.exp_weighted_integral
+            monkeypatch.setattr(
+                FourierSeries, "exp_weighted_integral", lambda s, t: closed(s, t) + 1e-7
+            )
+        else:
+            closed = verify.subfunction_bound
+            monkeypatch.setattr(verify, "subfunction_bound", lambda f, t: closed(f, t) + 1e-7)
+        res = oracle_crosscheck_suite(spec)
+        assert not res.passed
+        assert res.details[0][0] == name
+        assert res.worst_violation == pytest.approx(1e-7, rel=1e-3)
+
+    def test_negative_samples_are_invalid(self, example_spec):
+        with pytest.raises(InvalidGridError, match="samples"):
+            oracle_crosscheck_suite(example_spec, samples=-1)
+
+    def test_no_samples_checks_the_fixed_angles(self, example_spec):
+        res = oracle_crosscheck_suite(example_spec, samples=0)
+        assert res.passed
+        # t = 0 has only the bound's check; pi and 2*pi have all three
+        assert res.cases_run == 7
+        assert {t for _, t, _ in res.details} <= {0.0, np.pi, TWO_PI}
 
 
 class TestRunSuite:
