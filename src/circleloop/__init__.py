@@ -21,28 +21,13 @@ from .builder import (
 )
 from .fourier import (
     FourierSeries,
-    WeightReport,
-    check_weight,
     simpson_quadrature,
     solve_a0,
 )
-from .ops import (
-    SectionPoint,
-    baer_transversal_check,
-    eta,
-    eta_derivative_expr,
-    eta_lift,
-    ldiv,
-    mul,
-    rdiv,
-    section,
-    transitivity_quadratic,
-)
-from .sl2 import angle_of, kh_decompose, normalize_angle, rot, upper
+from .ops import baer_transversal_check, eta, eta_lift, ldiv, mul, rdiv
 from .verify import (
     SuiteResult,
     check_isomorphism_pair,
-    check_psl2_quotient,
     oracle_crosscheck_suite,
     run_axiom_suite,
     run_baer_suite,
@@ -53,8 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FourierSeries",
-    "WeightReport",
-    "check_weight",
     "simpson_quadrature",
     "solve_a0",
     "solve_g_const",
@@ -69,26 +52,16 @@ __all__ = [
     "integral_inequality_value",
     "reflect_spec",
     "subfunction_bound",
-    "SectionPoint",
-    "section",
     "mul",
     "ldiv",
     "rdiv",
     "eta",
     "eta_lift",
-    "eta_derivative_expr",
-    "transitivity_quadratic",
     "baer_transversal_check",
-    "rot",
-    "upper",
-    "kh_decompose",
-    "angle_of",
-    "normalize_angle",
     "SuiteResult",
     "run_axiom_suite",
     "run_baer_suite",
     "check_isomorphism_pair",
-    "check_psl2_quotient",
     "oracle_crosscheck_suite",
     "run_suite",
 ]

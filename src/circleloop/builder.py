@@ -150,8 +150,8 @@ def f_inv_from_weight(weight: FourierSeries) -> FourierSeries:
     Coefficient map (the weight's `_profile`, built once per weight):
     cos_k -> (a_k + k b_k)/(1+k^2), sin_k -> (b_k - k a_k)/(1+k^2),
     constant term unchanged.  Agrees pointwise with
-    e^t (1 - int_0^t weight(u) e^-u du) whenever the weight identity holds;
-    `check_weight` checks the weight, `build_loop_spec` the whole spec.
+    e^t (1 - int_0^t weight(u) e^-u du) whenever the weight identity
+    F(0) = 1 holds, which `build_loop_spec` checks with the rest of the spec.
     """
     return weight._profile
 
@@ -167,8 +167,15 @@ def solve_g_const(cos: tuple[float, ...]) -> float:
 
 
 def integral_inequality_value(f_inv: FourierSeries) -> float:
-    """int_0^{2pi} (f_inv^2 - f_inv'^2) dt; only the constant mode survives."""
-    return TWO_PI * f_inv._energy.a0
+    """int_0^{2pi} (f_inv^2 - f_inv'^2) dt; only the constant mode survives.
+
+    NaN when f_inv^2 - f_inv'^2 has a coefficient beyond the float range,
+    since no FourierSeries holds a non-finite coefficient.
+    """
+    try:
+        return TWO_PI * f_inv._energy.a0
+    except ValueError:
+        return math.nan
 
 
 def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
@@ -191,9 +198,12 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
 
 def _admissibility_q(fh, fhp, g, gp):
     """Q = g'F + gF' + F^2 - F'^2 and the discriminant -Q/F^4 (NaN where
-    F <= 0), from samples of F = f_inv, F', g and g' at the same angles."""
-    q = gp * fh + g * fhp + fh * fh - fhp * fhp
-    with np.errstate(divide="ignore", invalid="ignore"):
+    F <= 0), from samples of F = f_inv, F', g and g' at the same angles.
+
+    Samples too large to square give an infinite or NaN Q without a
+    warning; Q > 0 fails on NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = gp * fh + g * fhp + fh * fh - fhp * fhp
         return q, np.where(fh > 0.0, -q / fh**4, np.nan)
 
 

@@ -9,14 +9,6 @@ class InvalidGridError(CircleLoopError):
     """A sample grid or quadrature node count is too coarse or malformed."""
 
 
-class NotUnimodularError(CircleLoopError):
-    """A matrix asserted to have unit determinant does not."""
-
-
-class DegenerateColumnError(CircleLoopError):
-    """The first column of a matrix is numerically zero; no rotation factor exists."""
-
-
 class NonPositiveProfileError(CircleLoopError):
     """The reciprocal profile is not strictly positive on the check grid."""
 

@@ -7,37 +7,29 @@ A truncated Fourier series is the trigonometric polynomial
 2*pi-periodic by construction.  With D_k = cos_k - i sin_k its calculus is
 exact coefficient arithmetic, and every pointwise quantity is a series:
 
-    s(t)                 = a0 + Re sum_k D_k e^{ikt}
-    s'(t)                = Re sum_k ik D_k e^{ikt}            (the derivative series)
-    int_0^t s(u) du      = a0 t + A(t) - A(0),   A: D_k -> D_k/(ik)
-    int_0^t s(u) e^-u du = P(0) - e^-t P(t),     P: D_k -> D_k/(1 - ik),
+    s(t)             = a0 + Re sum_k D_k e^{ikt}
+    s'(t)            = Re sum_k ik D_k e^{ikt}            (the derivative series)
+    int_0^t s(u) du  = a0 t + A(t) - A(0),   A: D_k -> D_k/(ik).
 
-the last because P - P' = s, so (e^-t P)' = -e^-t s.  Each derived series
-(derivative, antiderivative A, profile P, energy s^2 - s'^2) is built once
-per series, and every series is read by one of two paths: at arbitrary
-points, Horner's rule in real arithmetic on (cos t, sin t), one sincos per
-point and then O(K) multiply-adds; on the uniform grid t_j = 2*pi*j/n, one
-inverse real FFT, exact for K < n/2 and kept per n.  No coefficient is ever
-estimated from samples, and `_grid_min` is the one reading of a grid's
-minimum and its angle.
+Each derived series (derivative, antiderivative A, profile P, energy
+s^2 - s'^2) is built once per series, and every series is read by one of
+two paths: at arbitrary points, Horner's rule in real arithmetic on
+(cos t, sin t), one sincos per point and then O(K) multiply-adds; on the
+uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2 and
+kept per n.  No coefficient is ever estimated from samples, and
+`_grid_min` is the one reading of a grid's minimum and its angle.
 
 A weight series w generates the reciprocal profile
-F(t) = e^t (1 - int_0^t w(u) e^-u du): F keeps a0 and maps D_k to
-D_k/(1 - ik), exactly once identity (i) below holds.  `_profile` is that
-map, built once per weight.  A weight series is admissible when it
-satisfies three conditions:
-
-  (i)   a0 + sum (cos_k + k sin_k)/(1+k^2) = 1          (exact identity),
-  (ii)  the reciprocal profile F stays strictly positive,
-  (iii) 2 a0^2 >= sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1)  (energy bound),
-
-the last being 2 mean(F^2 - F'^2) >= 0.  Condition (ii) is a strict
-inequality on a continuum; it is checked on a uniform grid of at least
-4K+16 points together with a positive margin.  Such a grid resolves every
-harmonic but decides nothing between its points.  The admissibility
-polynomial Q in `builder` is sampled the same way, and has degree
-max(K_F + K_g, 2 K_F): a spec whose negative Q minimum falls between two
-samples is admitted.
+F(t) = e^t (1 - int_0^t w(u) e^-u du).  The profile series P, which keeps
+a0 and maps D_k to D_k/(1 - ik), solves P - P' = w, so
+(e^-t P)' = -e^-t w and int_0^t w(u) e^-u du = P(0) - e^-t P(t); hence
+F = P exactly when P(0) = 1.  `_profile` is that map, built once per
+weight.  The builder checks the positivity of F, a strict inequality on
+a continuum, on a uniform grid of at least 4K+16 points together with a
+positive margin.  Such a grid resolves every harmonic but decides nothing
+between its points.  The admissibility polynomial Q in `builder` is
+sampled the same way, and has degree max(K_F + K_g, 2 K_F): a spec whose
+negative Q minimum falls between two samples is admitted.
 """
 
 from __future__ import annotations
@@ -186,12 +178,6 @@ class FourierSeries:
         """Evaluate the derivative sum k(-cos_k sin kt + sin_k cos kt) at t."""
         return self.derivative()(t)
 
-    def exp_weighted_integral(self, t):
-        """int_0^t s(u) e^-u du = P(0) - e^-t P(t), P the profile series; exactly 0 at t = 0."""
-        t = np.asarray(t, dtype=float)
-        p = self._profile
-        return _float(p(0.0) - np.exp(-t) * p(t))
-
     def integral_from_zero(self, t):
         """int_0^t s(u) du = a0 t + A(t) - A(0), A the antiderivative series; exactly 0 at t = 0."""
         t = np.asarray(t, dtype=float)
@@ -261,73 +247,17 @@ def _complex_coeffs(s: FourierSeries) -> np.ndarray:
 
 
 def solve_a0(cos: tuple[float, ...], sin: tuple[float, ...]) -> float:
-    """Constant term making the admissibility identity exact.
+    """Constant term making the weight identity F(0) = 1 exact.
 
-    Returns 1 - sum (cos_k + k sin_k)/(1+k^2) so that the resulting weight
-    series satisfies condition (i) by construction.
+    Returns 1 - sum (cos_k + k sin_k)/(1+k^2), so that the profile the
+    resulting weight series generates is 1 at t = 0 by construction.
     """
     return 1.0 - float(np.sum(FourierSeries(0.0, cos, sin)._profile.cos))
-
-
-@dataclass(frozen=True)
-class WeightReport:
-    """Outcome of the three admissibility conditions for a weight series.
-
-    identity_residual   |F(0) - 1| = |a0 + sum (cos_k + k sin_k)/(1+k^2) - 1|
-    positivity_margin   grid minimum of the generated reciprocal profile
-    energy_slack        2 a0^2 - sum (cos_k^2 + sin_k^2)(k^2-1)/(k^2+1),
-                        that is 2 mean(F^2 - F'^2) for the profile F
-    """
-
-    identity_residual: float
-    positivity_margin: float
-    energy_slack: float
-    grid_size: int
-    verdict: bool
 
 
 def min_grid_points(series: FourierSeries) -> int:
     """Smallest grid that resolves every harmonic of `series` for strict checks."""
     return 4 * series.harmonics + 16
-
-
-def check_weight(
-    series: FourierSeries,
-    grid_n: int = DEFAULT_GRID,
-    *,
-    tol_eq: float = TOL_EQ,
-    delta_strict: float = DELTA_STRICT,
-) -> WeightReport:
-    """Check the three admissibility conditions for a weight series.
-
-    The positivity margin is the minimum over the uniform grid of grid_n
-    points on [0, 2*pi) of the reciprocal profile the series generates,
-
-        a0 + sum [ (cos_k + k sin_k) cos(kt) + (sin_k - k cos_k) sin(kt) ] / (1+k^2);
-
-    the identity residual is |F(0) - 1| for that profile F, the energy
-    slack reads the constant of its energy series, and both the residual
-    and the grid samples are the ones the builder's verdict reads.
-
-    Raises InvalidGridError when grid_n is below 4K+16.
-    """
-    if grid_n < min_grid_points(series):
-        raise InvalidGridError(
-            f"grid_n={grid_n} below resolution bound {min_grid_points(series)} "
-            f"for {series.harmonics} harmonics"
-        )
-    profile = series._profile
-    residual = abs(float(profile(0.0)) - 1.0)
-    margin, _ = _grid_min(profile._on_grid(grid_n))
-    slack = 2.0 * profile._energy.a0
-    verdict = residual <= tol_eq and margin > delta_strict and slack >= -tol_eq
-    return WeightReport(
-        identity_residual=residual,
-        positivity_margin=margin,
-        energy_slack=slack,
-        grid_size=grid_n,
-        verdict=verdict,
-    )
 
 
 def simpson_quadrature(fn: Callable, lo: float, hi: float, n: int) -> float:

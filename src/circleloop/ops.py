@@ -1,11 +1,13 @@
-"""The loop itself: section evaluation, multiplication, divisions, and
-the conjugate-transversal angle functions used to certify sharp transitivity.
+"""The loop itself: multiplication, divisions, and the conjugate-transversal
+angle functions used to certify sharp transitivity.
 
-The loop lives on coset angles in [0, 2*pi).  With sigma(s) =
-rot(s) @ U(s) the section matrix at s, U = [[f, g], [0, f_inv]],
-multiplication is
+The loop lives on coset angles in [0, 2*pi): with the clockwise rotation
+rot(t) = [[cos t, sin t], [-sin t, cos t]], the coset angle of a
+unimodular M is the theta of its unique split M = rot(theta) @
+[[a, b], [0, 1/a]], a > 0.  With sigma(s) = rot(s) @ U(s) the section
+matrix at s, U = [[f, g], [0, f_inv]], multiplication is
 
-    s * t = angle_of( sigma(s) @ rot(t) ),
+    s * t = the coset angle of sigma(s) @ rot(t),
 
 which has identity 0 and, for a valid spec, strictly increasing degree-1
 left and right translations.  Left division is closed form: a * y = b
@@ -26,10 +28,9 @@ loop exactly when every eta_beta is strictly increasing with winding one;
 the transversal check reads that directly from the forward steps of
 `_translation_steps`, the signed angles between consecutive coset
 columns, which come in blocks of `_SCAN_ROWS` translations so that a
-block's arrays stay in cache; `transitivity_quadratic` evaluates the
-equivalent quadratic-in-w positivity condition.  For a valid spec `eta`
-is closed form: eta_beta rises from 0 to 2*pi over each turn, so its
-lift at t is its value on the turn of t plus 2*pi per whole turn.
+block's arrays stay in cache.  For a valid spec `eta` is closed form:
+eta_beta rises from 0 to 2*pi over each turn, so its lift at t is its
+value on the turn of t plus 2*pi per whole turn.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 from .builder import LoopSpec
 from .errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
 from .fourier import TWO_PI
-from .sl2 import rot
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
@@ -57,14 +57,6 @@ _WINDING_TOL = 1e-6
 #: anchors per block of a translation scan: 8 rows of 4096 float64 steps
 #: are 256 KB, so a block's temporaries stay in a core's L2 cache
 _SCAN_ROWS = 8
-
-
-@dataclass(frozen=True)
-class SectionPoint:
-    """Section value at one coset angle: the matrix rot(t) @ [[f, g], [0, 1/f]]."""
-
-    t: float
-    matrix: np.ndarray
 
 
 def _operation(op):
@@ -89,14 +81,14 @@ def _operation(op):
     return checked
 
 
-def _coset_column(p, q, r, y):
-    """Coset column of [[p, q], [0, r]] @ rot(y): (p cos y - q sin y, r sin y).
+def _coset_column(p, q, r, cy, sy):
+    """Coset column of [[p, q], [0, r]] @ rot(y) from (cy, sy) = (cos y, sin y):
+    (p cos y - q sin y, r sin y).
 
     The first column of that matrix is (p cos y - q sin y, -r sin y); with
     rot clockwise, its coset angle is the polar angle of this vector.  The
     one formula behind every loop operation and the translation scan.
     """
-    cy, sy = np.cos(y), np.sin(y)
     return p * cy - q * sy, r * sy
 
 
@@ -106,20 +98,9 @@ def _coset_angle(p, q, r, x, y):
     The coset column of `_coset_column` rotated by x in matrix form, which
     stays smooth where a tan-quotient formula has poles.
     """
-    radial, rs = _coset_column(p, q, r, y)
+    radial, rs = _coset_column(p, q, r, np.cos(y), np.sin(y))
     cx, sx = np.cos(x), np.sin(x)
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
-
-
-def section(spec: LoopSpec, t: float) -> SectionPoint:
-    """Section matrix at angle t; the identity matrix at t in 2*pi*Z."""
-    return SectionPoint(float(t), _section_matrix(spec, t))
-
-
-@_operation
-def _section_matrix(spec: LoopSpec, t) -> np.ndarray:
-    fh = spec.f_inv(t)
-    return rot(t) @ np.array([[1.0 / fh, spec.g(t)], [0.0, fh]])
 
 
 @_operation
@@ -196,25 +177,30 @@ def _translation_steps(spec: LoopSpec, anchors, ts, side: str) -> Iterator[np.nd
     shift by -a_i is eta_{a_i}.  Both are the coset angle of
     rot(x) @ [[f(u), g(u)], [0, f_inv(u)]] @ rot(y), with (x, u, y) =
     (0, a, t) on the left and (t - a, t, a) on the right, so f_inv and g
-    are sampled once per scan, at the anchors or at the angles.  A step is
-    the signed angle between consecutive coset columns of `_coset_column`,
-    plus on the right the increment of x; a right step above pi is taken
-    2*pi back, so every step lies in (-pi, pi] as an unwrapped lift reads
-    it.  The arithmetic of a row does not depend on its block.
+    are sampled once per scan, at the anchors or at the angles; cos y and
+    sin y are taken once per scan on the left and once per block on the
+    right.  A step is the signed angle between consecutive coset columns
+    of `_coset_column`, plus on the right the increment of x; a right step
+    above pi is taken 2*pi back, so every step lies in (-pi, pi] as an
+    unwrapped lift reads it.  The arithmetic of a row does not depend on
+    its block.
     """
     anchors = np.asarray(anchors, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
     u = anchors if side == "left" else ts
     fh = spec.f_inv(u)
     p, q = 1.0 / fh, spec.g(u)
-    if side == "right":
+    if side == "left":
+        cy, sy = np.cos(ts), np.sin(ts)
+    else:
         dts = np.diff(ts)
     for start in range(0, anchors.shape[0], _SCAN_ROWS):
         rows = slice(start, start + _SCAN_ROWS)
         if side == "left":
-            c, s = _coset_column(p[rows], q[rows], fh[rows], ts)
+            c, s = _coset_column(p[rows], q[rows], fh[rows], cy, sy)
         else:
-            c, s = _coset_column(p, q, fh, anchors[rows])
+            y = anchors[rows]
+            c, s = _coset_column(p, q, fh, np.cos(y), np.sin(y))
         c0, c1, s0, s1 = c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:]
         steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1)
         if side == "right":
@@ -288,45 +274,6 @@ def eta(spec: LoopSpec, w: float, t: float) -> float:
     """
     value, turns = _eta_turns(spec, w, t)
     return float(value + TWO_PI * turns)
-
-
-def transitivity_quadratic(spec: LoopSpec, w, t):
-    """The quadratic-in-w expression whose positivity for all w and t is
-    equivalent to sharp transitivity:
-
-        w^2 (g'f + g f' + g^2 f^2 + 1) + w (-2 f f' - 2 g f^3) + f^4.
-    """
-    w = np.asarray(w, dtype=float)
-    t = np.asarray(t, dtype=float)
-    fh = spec.f_inv(t)
-    f = 1.0 / fh
-    fp = -spec.f_inv.derivative_at(t) / (fh * fh)
-    g = spec.g(t)
-    gp = spec.g.derivative_at(t)
-    quad = (
-        w * w * (gp * f + g * fp + g * g * f * f + 1.0)
-        + w * (-2.0 * f * fp - 2.0 * g * f ** 3)
-        + f ** 4
-    )
-    return quad if quad.shape else float(quad)
-
-
-def eta_derivative_expr(spec: LoopSpec, w, t):
-    """(w^2+1)/cos^2(t) times the transitivity quadratic.
-
-    This equals d/dt tan(eta_w(t)) up to the square of the tan-quotient
-    denominator, a strictly positive factor, so only its sign is
-    meaningful: positive everywhere iff the spec is sharply transitive.
-    Within 1e-8 of a pole of tan the unbounded 1/cos^2 factor (positive
-    wherever defined) is dropped and (w^2+1) times the quadratic returned.
-    """
-    w = np.asarray(w, dtype=float)
-    t = np.asarray(t, dtype=float)
-    quad = transitivity_quadratic(spec, w, t)
-    ct = np.cos(t)
-    factor = np.where(np.abs(ct) < 1e-8, 1.0, ct * ct)
-    out = (w * w + 1.0) / factor * quad
-    return out if out.shape else float(out)
 
 
 @dataclass(frozen=True)

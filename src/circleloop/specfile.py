@@ -43,24 +43,22 @@ class SpecDocument:
     tolerances: Tolerances | None = None
 
 
-def _number_list(obj, where: str) -> tuple[float, ...]:
-    if not isinstance(obj, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
-        raise SpecFileError(f"{where} must be an array of numbers")
-    vals = tuple(float(x) for x in obj)
-    if not all(math.isfinite(v) for v in vals):
-        raise SpecFileError(f"{where} contains a non-finite value")
-    return vals
-
-
 def _number(obj, where: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise SpecFileError(f"{where} must be a number")
-    v = float(obj)
+    try:
+        v = float(obj)
+    except OverflowError:
+        raise SpecFileError(f"{where} is too large for a float") from None
     if not math.isfinite(v):
         raise SpecFileError(f"{where} is not finite")
     return v
+
+
+def _number_list(obj, where: str) -> tuple[float, ...]:
+    if not isinstance(obj, list):
+        raise SpecFileError(f"{where} must be an array of numbers")
+    return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(obj))
 
 
 def _series(obj, key: str, const_key: str) -> FourierSeries:

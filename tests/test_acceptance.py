@@ -14,8 +14,6 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_isomorphism_pair,
-    check_psl2_quotient,
-    eta_derivative_expr,
     eta_lift,
     ldiv,
     mul,
@@ -26,8 +24,10 @@ from circleloop import (
     subfunction_bound,
 )
 from circleloop.ops import baer_transversal_check
+from circleloop.verify import run_psl2_suite
 
 from conftest import circ_dist, random_admissible_spec, random_admissible_weight
+from matrix_oracle import eta_derivative_expr
 
 TWO_PI = 2.0 * np.pi
 SEED = 20260810
@@ -226,8 +226,8 @@ def test_criterion_8_subfunction_bound(example_spec, shear_spec, even_spec):
 
 
 def test_criterion_9_quotient_predicate(even_spec, example_spec):
-    on_even = check_psl2_quotient(even_spec)
-    on_example = check_psl2_quotient(example_spec)
+    on_even = run_psl2_suite(even_spec).passed
+    on_example = run_psl2_suite(example_spec).passed
     _report(
         9,
         "quotient-cover predicate true on even-harmonic fixture, false on example",

@@ -9,7 +9,6 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_discriminant,
-    check_weight,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -17,13 +16,13 @@ from circleloop import (
     solve_a0,
     solve_g_const,
     subfunction_bound,
-    transitivity_quadratic,
     weight_from_f_inv,
 )
 from circleloop.builder import Tolerances, _admissibility_q, uniform_grid
 from circleloop.errors import NonPositiveProfileError
 
 from conftest import random_admissible_weight, random_admissible_spec
+from matrix_oracle import transitivity_quadratic
 
 TWO_PI = 2.0 * np.pi
 
@@ -352,6 +351,11 @@ class TestBuildLoopSpec:
         assert math.isfinite(spec.report.q_min)
         conditions = {f.condition for f in spec.report.failures}
         assert "profile-positivity" in conditions
+        # F^2 overflows on the grid at 1e160, F^4 at 1e100: no warning, no raise
+        for big in (1e160, 1e100):
+            spec = build_loop_spec(FourierSeries(big, (big,), (0.0,)))
+            assert not spec.report.verdict
+            assert "discriminant" in {f.condition for f in spec.report.failures}
 
     def test_equalities_share_one_tolerance(self):
         # 5e-10 lies above tol_eq = 1e-10: each residual fails its one condition
@@ -379,23 +383,31 @@ class TestBuildLoopSpec:
             Tolerances(**bad)
 
     def test_weight_margin_is_profile_minimum(self):
-        # check_weight and the build read the same profile samples, bit for bit
+        # f_inv_min is the minimum of the weight's profile on the 4096-point
+        # grid: bit for bit its FFT samples, and their Horner values to 1e-15
         rng = np.random.default_rng(101)
+        ts = uniform_grid(4096)
         for _ in range(200):
             k = int(rng.integers(1, 6))
             cos, sin = tuple(rng.normal(0.0, 0.3, k)), tuple(rng.normal(0.0, 0.3, k))
             w = FourierSeries(solve_a0(cos, sin), cos, sin)
-            assert check_weight(w, 4096).positivity_margin == build_loop_spec(w).report.f_inv_min
+            r = build_loop_spec(w).report
+            assert r.f_inv_min == float(np.min(w._profile._on_grid(4096)))
+            assert r.f_inv_min == pytest.approx(float(np.min(w._profile(ts))), abs=1e-15)
 
     def test_weight_identity_residual_is_f0_residual(self):
-        # check_weight and the build read |F(0) - 1| from the same Horner value
+        # f0_residual is |F(0) - 1| of the weight's profile, within rounding
+        # of |a0 + sum (cos_k + k sin_k)/(1+k^2) - 1|
         rng = np.random.default_rng(103)
         for _ in range(200):
             k = int(rng.integers(1, 6))
             cos, sin = tuple(rng.normal(0.0, 0.3, k)), tuple(rng.normal(0.0, 0.3, k))
             w = FourierSeries(solve_a0(cos, sin), cos, sin)
             r = build_loop_spec(w).report
-            assert check_weight(w, r.grid_n).identity_residual == r.f0_residual
+            assert r.f0_residual == abs(float(w._profile(0.0)) - 1.0)
+            kk = np.arange(1, k + 1)
+            identity = w.a0 + float(np.sum((np.array(cos) + kk * np.array(sin)) / (1 + kk**2)))
+            assert r.f0_residual == pytest.approx(abs(identity - 1.0), abs=1e-15)
 
     def test_energy_series_built_once(self, monkeypatch):
         # f_inv * f_inv and f_inv' * f_inv', shared by every check of one build

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleloop import FourierSeries
+from circleloop import FourierSeries, Tolerances, build_loop_spec, run_suite
 from circleloop.specfile import SpecDocument, dump_spec_file, load_spec_file
 
 TWO_PI = 2.0 * np.pi
@@ -21,6 +21,19 @@ FIXTURE_VERDICTS = {
     "example_shear.json": (0, []),
     "inadmissible.json": (2, ["weight-identity"]),
     "trivial.json": (0, []),
+}
+
+#: cases each suite runs in `run_suite(spec, "all")`, the same for every spec
+SUITE_CASES = {"axioms": 401_536, "baer": 262_144, "isomorphism": 4096, "oracle": 101, "psl2": 2}
+#: `passed` of each suite, in SUITE_CASES order, for every spec in specs/
+FIXTURE_SUITES = {
+    "corrupted.json": (False, False, False, True, False),
+    "energy_probe.json": (True, True, True, True, True),
+    "even_psl2.json": (True, True, True, True, True),
+    "example.json": (True, True, True, True, False),
+    "example_shear.json": (True, True, True, True, False),
+    "inadmissible.json": (False, True, False, False, False),
+    "trivial.json": (True, True, True, True, True),
 }
 
 #: the keys of the `validate` JSON line
@@ -119,6 +132,20 @@ def test_fixture_verdicts(name):
     machine = json.loads(res.stdout.strip().splitlines()[-1])
     conditions = [f["condition"] for f in machine["failures"]]
     assert (res.returncode, conditions) == FIXTURE_VERDICTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SPECS.glob("*.json")))
+def test_fixture_suites(name):
+    # every suite, as `check --suite all --skip-validation` runs it, in process
+    doc = load_spec_file(SPECS / name)
+    spec = build_loop_spec(
+        doc.weight, doc.g, grid_n=doc.grid_n or 4096, tolerances=doc.tolerances or Tolerances()
+    )
+    got = [(r.suite_name, r.passed, r.cases_run) for r in run_suite(spec, "all")]
+    assert got == [
+        (suite, passed, SUITE_CASES[suite])
+        for suite, passed in zip(SUITE_CASES, FIXTURE_SUITES[name])
+    ]
 
 
 INADMISSIBLE_FILE = str(SPECS / "inadmissible.json")
@@ -342,6 +369,8 @@ class TestSpecFileRoundtrip:
             {"schema_version": 1, "r": {"a0": 1.0}, "grid_n": 2},  # grid too small
             {"schema_version": 1, "r": {"a0": 1.0}, "extra": 1},  # unknown key
             {"schema_version": 1, "r": {"a0": 1.0}, "tolerances": {"tol_det": 1e-9}},  # no such knob
+            {"schema_version": 1, "r": {"a0": 10**400}},  # beyond the float range
+            {"schema_version": 1, "r": {"a0": 1.0, "cos": [10**400], "sin": [0.0]}},
         ]
         from circleloop.specfile import parse_spec_document
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from circleloop import FourierSeries, check_weight, simpson_quadrature, solve_a0
+from circleloop import FourierSeries, build_loop_spec, simpson_quadrature, solve_a0
 from circleloop.errors import InvalidGridError
 
 TWO_PI = 2.0 * np.pi
@@ -36,6 +36,15 @@ def explicit_sums(s: FourierSeries, t, kt):
         (a * (1.0 + k * sin * e - cos * e) + b * (k - k * cos * e - sin * e)) / (1 + k * k)
     ).sum(axis=0)
     return value, slope, integral, weighted
+
+
+def weighted_by_profile(s: FourierSeries, t):
+    """int_0^t s(u) e^-u du read off the profile series P = s._profile, as P(0) - e^-t P(t).
+
+    P - P' = s, so (e^-t P)' = -e^-t s: P(t) = e^t (P(0) - int_0^t s e^-u du).
+    """
+    p = s._profile
+    return p(0.0) - np.exp(-np.asarray(t, dtype=float)) * p(t)
 
 
 def random_series(k: int, seed: int) -> FourierSeries:
@@ -71,7 +80,7 @@ class TestEvaluatorPaths:
         assert np.all(np.abs(s.derivative_at(t) - slope) <= 1e-13 * k_size)
         err = np.abs(s.integral_from_zero(t) - integral)
         assert np.all(err <= 1e-13 * size * np.maximum(1.0, np.abs(t)))
-        err = np.abs(s.exp_weighted_integral(t) - weighted)
+        err = np.abs(weighted_by_profile(s, t) - weighted)
         assert np.all(err <= 1e-13 * size * np.maximum(1.0, np.exp(-t)))
 
     @PROPERTY
@@ -91,15 +100,13 @@ class TestEvaluatorPaths:
     @given(k=DEGREES, seed=SEEDS, rows=st.integers(1, 4), cols=st.integers(1, 5))
     def test_shapes_and_exact_zeros(self, k, seed, rows, cols):
         s = random_series(k, seed)
-        methods = (s, s.derivative_at, s.integral_from_zero, s.exp_weighted_integral)
+        methods = (s, s.derivative_at, s.integral_from_zero)
         for method in methods:
             assert type(method(0.7)) is float
             assert type(method(np.float64(0.7))) is float
             assert method(np.full((rows, cols), 0.7)).shape == (rows, cols)
         assert s.integral_from_zero(0.0) == 0.0
-        assert s.exp_weighted_integral(0.0) == 0.0
         assert np.all(s.integral_from_zero(np.zeros((rows, cols))) == 0.0)
-        assert np.all(s.exp_weighted_integral(np.zeros((rows, cols))) == 0.0)
 
     @PROPERTY
     @given(k=DEGREES, short=st.integers(0, 512))
@@ -191,17 +198,19 @@ class TestDerivative:
 
 
 class TestExpWeightedIntegral:
+    """The profile series P of s solves P(t) = e^t (P(0) - int_0^t s(u) e^-u du)."""
+
     def test_constant_full_period(self):
-        got = FourierSeries(1.0).exp_weighted_integral(TWO_PI)
+        got = weighted_by_profile(FourierSeries(1.0), TWO_PI)
         assert got == pytest.approx(1.0 - math.exp(-TWO_PI), abs=1e-15)
 
     def test_zero_length(self):
         s = FourierSeries(0.3, (0.2,), (-0.1,))
-        assert s.exp_weighted_integral(0.0) == 0.0
+        assert weighted_by_profile(s, 0.0) == 0.0
 
     def test_pure_sine_full_period(self):
         # int_0^{2pi} sin(u) e^-u du = (1 - e^{-2pi})/2
-        got = FourierSeries(0.0, (0.0,), (1.0,)).exp_weighted_integral(TWO_PI)
+        got = weighted_by_profile(FourierSeries(0.0, (0.0,), (1.0,)), TWO_PI)
         expected = 0.5 * (1.0 - math.exp(-TWO_PI))
         assert got == pytest.approx(expected, abs=1e-14)
         adaptive, _ = quad(lambda u: math.sin(u) * math.exp(-u), 0.0, TWO_PI)
@@ -215,7 +224,7 @@ class TestExpWeightedIntegral:
             s = random_admissible_weight(rng)
             for t in rng.uniform(0.1, TWO_PI, 4):
                 oracle = simpson_quadrature(lambda u: s(u) * np.exp(-u), 0.0, float(t), 512)
-                assert s.exp_weighted_integral(float(t)) == pytest.approx(oracle, abs=1e-8)
+                assert weighted_by_profile(s, float(t)) == pytest.approx(oracle, abs=1e-8)
 
     def test_against_quadrature_oracle_wild_series(self):
         rng = np.random.default_rng(13)
@@ -224,7 +233,7 @@ class TestExpWeightedIntegral:
             s = FourierSeries(rng.normal(), tuple(rng.normal(size=k)), tuple(rng.normal(size=k)))
             for t in rng.uniform(0.1, TWO_PI, 4):
                 oracle = simpson_quadrature(lambda u: s(u) * np.exp(-u), 0.0, float(t), 4096)
-                assert s.exp_weighted_integral(float(t)) == pytest.approx(oracle, abs=1e-8)
+                assert weighted_by_profile(s, float(t)) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestSeriesAlgebra:
@@ -255,47 +264,51 @@ class TestSeriesAlgebra:
 
 
 class TestWeightAdmissibility:
+    """The build's report on a weight alone: |F(0) - 1|, the grid minimum of
+    F, and integral_value / pi = 2 mean(F^2 - F'^2) as the energy slack."""
+
     def test_trivial_weight(self):
-        rep = check_weight(FourierSeries(1.0), 64)
-        assert rep.verdict
-        assert rep.identity_residual == 0.0
-        assert rep.positivity_margin == pytest.approx(1.0)
-        assert rep.energy_slack == pytest.approx(2.0)
+        r = build_loop_spec(FourierSeries(1.0), grid_n=64).report
+        assert r.verdict
+        assert r.f0_residual == 0.0
+        assert r.f_inv_min == pytest.approx(1.0)
+        assert r.integral_value / math.pi == pytest.approx(2.0)
 
     def test_example_weight(self):
-        rep = check_weight(FourierSeries(0.9, (0.2,), (0.0,)), 4096)
-        assert rep.verdict
-        assert rep.identity_residual < 1e-15  # 0.9 + 0.2/2 = 1 exactly
+        r = build_loop_spec(FourierSeries(0.9, (0.2,), (0.0,))).report
+        assert r.verdict
+        assert r.f0_residual < 1e-15  # 0.9 + 0.2/2 = 1 exactly
         # amplitude of 0.1 sin t - 0.1 cos t is 0.1*sqrt(2)
-        assert rep.positivity_margin == pytest.approx(0.9 - 0.1 * math.sqrt(2), abs=1e-6)
-        assert rep.energy_slack == pytest.approx(1.62)  # 2 a0^2; the k=1 term vanishes
+        assert r.f_inv_min == pytest.approx(0.9 - 0.1 * math.sqrt(2), abs=1e-6)
+        assert r.integral_value / math.pi == pytest.approx(1.62)  # 2 a0^2; the k=1 term vanishes
 
     def test_example_margin_against_dense_minimization(self):
-        rep = check_weight(FourierSeries(0.9, (0.2,), (0.0,)), 4096)
+        r = build_loop_spec(FourierSeries(0.9, (0.2,), (0.0,))).report
         ts = np.linspace(0, TWO_PI, 2_000_001)
         dense = np.min(0.9 + 0.1 * np.cos(ts) - 0.1 * np.sin(ts))
-        assert rep.positivity_margin == pytest.approx(dense, abs=1e-7)
+        assert r.f_inv_min == pytest.approx(dense, abs=1e-7)
 
     def test_identity_violation(self):
-        rep = check_weight(FourierSeries(0.5), 64)
-        assert not rep.verdict
-        assert rep.identity_residual == pytest.approx(0.5)
+        r = build_loop_spec(FourierSeries(0.5), grid_n=64).report
+        assert not r.verdict
+        assert r.f0_residual == pytest.approx(0.5)
+        assert "weight-identity" in {f.condition for f in r.failures}
 
     def test_energy_violation(self):
-        # large k=2 coefficients break the energy bound
+        # large k=2 coefficients make mean(F^2 - F'^2) negative
         cos, sin = (0.0, 2.0), (0.0, 0.0)
-        rep = check_weight(FourierSeries(solve_a0(cos, sin), cos, sin), 4096)
-        assert rep.energy_slack < 0
-        assert not rep.verdict
+        r = build_loop_spec(FourierSeries(solve_a0(cos, sin), cos, sin)).report
+        assert r.integral_value < 0
+        assert not r.verdict
 
     def test_grid_too_coarse(self):
+        # the build lifts a grid below 4K + 16 points to 4K + 16
         s = FourierSeries(1.0, (0.0,) * 4, (0.0,) * 4)
-        with pytest.raises(InvalidGridError):
-            check_weight(s, 31)
+        assert build_loop_spec(s, grid_n=31).report.grid_n == 32
 
     def test_determinism(self):
         s = FourierSeries(0.9, (0.2,), (0.0,))
-        assert check_weight(s, 512) == check_weight(s, 512)
+        assert build_loop_spec(s, grid_n=512).report == build_loop_spec(s, grid_n=512).report
 
     def test_solve_a0_makes_identity_exact(self):
         rng = np.random.default_rng(23)
@@ -304,8 +317,8 @@ class TestWeightAdmissibility:
             cos = tuple(rng.normal(size=k))
             sin = tuple(rng.normal(size=k))
             s = FourierSeries(solve_a0(cos, sin), cos, sin)
-            rep = check_weight(s, 4 * k + 16)
-            assert rep.identity_residual < 1e-14
+            r = build_loop_spec(s, grid_n=4 * k + 16).report
+            assert r.f0_residual < 1e-14
 
 
 class TestSimpsonOracle:

@@ -10,22 +10,15 @@ from hypothesis import strategies as st
 from circleloop import (
     FourierSeries,
     Tolerances,
-    angle_of,
     baer_transversal_check,
     build_loop_spec,
     eta,
-    eta_derivative_expr,
     eta_lift,
-    kh_decompose,
     ldiv,
     mul,
     rdiv,
-    rot,
-    section,
     solve_a0,
     solve_g_const,
-    transitivity_quadratic,
-    upper,
 )
 from circleloop import ops
 from circleloop.errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
@@ -41,6 +34,16 @@ from circleloop.specfile import load_spec_file
 from circleloop.verify import run_axiom_suite
 
 from conftest import circ_dist, random_admissible_spec
+from matrix_oracle import (
+    angle_of,
+    det,
+    eta_derivative_expr,
+    kh_decompose,
+    rot,
+    section,
+    transitivity_quadratic,
+    upper,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -136,8 +139,6 @@ class TestSection:
         assert h.a == pytest.approx(1.25, abs=1e-12)
 
     def test_determinant(self, shear_spec):
-        from circleloop.sl2 import det
-
         for t in np.linspace(0, TWO_PI, 17):
             assert abs(det(section(shear_spec, float(t)).matrix) - 1.0) < 1e-9
 

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from circleloop import angle_of, kh_decompose, normalize_angle, rot, upper
-from circleloop.errors import DegenerateColumnError, NotUnimodularError
-from circleloop.sl2 import det
+from matrix_oracle import (
+    DegenerateColumnError,
+    NotUnimodularError,
+    angle_of,
+    det,
+    kh_decompose,
+    normalize_angle,
+    rot,
+    upper,
+)
 
 TWO_PI = 2.0 * np.pi
 

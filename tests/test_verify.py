@@ -9,7 +9,6 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_isomorphism_pair,
-    check_psl2_quotient,
     mul,
     oracle_crosscheck_suite,
     run_axiom_suite,
@@ -110,18 +109,17 @@ class TestIsomorphismPair:
 
 class TestPsl2Quotient:
     def test_trivial_is_quotient_cover(self, trivial_spec):
-        assert check_psl2_quotient(trivial_spec)
+        assert run_psl2_suite(trivial_spec).passed
 
     def test_example_is_not(self, example_spec):
         # f_inv(pi) = 0.8, far from 1
-        assert not check_psl2_quotient(example_spec)
         res = run_psl2_suite(example_spec)
         assert not res.passed
         assert res.worst_violation == pytest.approx(0.2, abs=1e-12)
 
     def test_even_harmonic_fixture_is(self, even_spec):
         assert even_spec.report.verdict
-        assert check_psl2_quotient(even_spec)
+        assert run_psl2_suite(even_spec).passed
 
 
 class TestOracleSuite:
@@ -169,20 +167,13 @@ class TestOracleSuite:
         assert out.returncode == 0, out.stdout + out.stderr
         assert "PASS oracle" in out.stdout
 
-    @pytest.mark.parametrize(
-        "name", ["f_inv-closed-vs-integral", "exp-weighted-integral", "subfunction-bound"]
-    )
+    @pytest.mark.parametrize("name", ["f_inv-closed-vs-integral", "subfunction-bound"])
     def test_wrong_closed_form_fails_on_top(self, example_spec, monkeypatch, name):
         spec = example_spec
         if name == "f_inv-closed-vs-integral":
             f_inv = spec.f_inv
             spec = dataclasses.replace(
                 spec, f_inv=FourierSeries(f_inv.a0 + 1e-7, f_inv.cos, f_inv.sin)
-            )
-        elif name == "exp-weighted-integral":
-            closed = FourierSeries.exp_weighted_integral
-            monkeypatch.setattr(
-                FourierSeries, "exp_weighted_integral", lambda s, t: closed(s, t) + 1e-7
             )
         else:
             closed = verify.subfunction_bound
@@ -192,6 +183,16 @@ class TestOracleSuite:
         assert res.details[0][0] == name
         assert res.worst_violation == pytest.approx(1e-7, rel=1e-3)
 
+    def test_weight_profile_mismatch_fails_profile_detail(self, example_spec):
+        # the profile read against a weight offset by 1e-7: the weighted
+        # integral moves by 1e-7 (1 - e^-t), the profile gap by 1e-7 (e^t - 1)
+        w = example_spec.weight
+        spec = dataclasses.replace(example_spec, weight=FourierSeries(w.a0 + 1e-7, w.cos, w.sin))
+        res = oracle_crosscheck_suite(spec)
+        assert not res.passed
+        assert res.details[0][0] == "f_inv-closed-vs-integral"
+        assert res.worst_violation == pytest.approx(1e-7 * np.expm1(res.details[0][1]), rel=1e-3)
+
     def test_negative_samples_are_invalid(self, example_spec):
         with pytest.raises(InvalidGridError, match="samples"):
             oracle_crosscheck_suite(example_spec, samples=-1)
@@ -199,8 +200,8 @@ class TestOracleSuite:
     def test_no_samples_checks_the_fixed_angles(self, example_spec):
         res = oracle_crosscheck_suite(example_spec, samples=0)
         assert res.passed
-        # t = 0 has only the bound's check; pi and 2*pi have all three
-        assert res.cases_run == 7
+        # t = 0 has only the bound's check; pi and 2*pi have both
+        assert res.cases_run == 5
         assert {t for _, t, _ in res.details} <= {0.0, np.pi, TWO_PI}
 
 
@@ -225,7 +226,7 @@ class TestRunSuite:
         # the axiom suite passes on any verdict-true spec regardless of
         # whether other predicates (like the quotient condition) hold
         spec = build_loop_spec(FourierSeries(0.9, (0.2,), (0.0,)))
-        assert not check_psl2_quotient(spec)
+        assert not run_psl2_suite(spec).passed
         assert run_axiom_suite(spec, 16).passed
-        assert check_psl2_quotient(even_spec)
+        assert run_psl2_suite(even_spec).passed
         assert run_axiom_suite(even_spec, 16).passed
