@@ -19,12 +19,8 @@ from .builder import (
     subfunction_bound,
     weight_from_f_inv,
 )
-from .fourier import (
-    FourierSeries,
-    simpson_quadrature,
-    solve_a0,
-)
-from .ops import baer_transversal_check, eta, eta_lift, ldiv, mul, rdiv
+from .fourier import FourierSeries, solve_a0
+from .ops import eta, ldiv, mul, rdiv
 from .verify import (
     SuiteResult,
     check_isomorphism_pair,
@@ -38,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FourierSeries",
-    "simpson_quadrature",
     "solve_a0",
     "solve_g_const",
     "Failure",
@@ -56,8 +51,6 @@ __all__ = [
     "ldiv",
     "rdiv",
     "eta",
-    "eta_lift",
-    "baer_transversal_check",
     "SuiteResult",
     "run_axiom_suite",
     "run_baer_suite",

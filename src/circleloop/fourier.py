@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -259,17 +258,3 @@ def min_grid_points(series: FourierSeries) -> int:
     """Smallest grid that resolves every harmonic of `series` for strict checks."""
     return 4 * series.harmonics + 16
 
-
-def simpson_quadrature(fn: Callable, lo: float, hi: float, n: int) -> float:
-    """Composite Simpson rule with n subintervals (n even), error O(n^-4).
-
-    The tests' independent reference rule for the closed forms of this
-    package (the oracle suite integrates by Gauss–Legendre instead); `fn`
-    must accept a numpy array.
-    """
-    if n < 2 or n % 2 != 0:
-        raise InvalidGridError(f"Simpson rule needs an even n >= 2, got {n}")
-    xs = np.linspace(lo, hi, n + 1)
-    ys = np.asarray(fn(xs), dtype=float)
-    h = (hi - lo) / n
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))

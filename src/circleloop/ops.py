@@ -7,42 +7,45 @@ unimodular M is the theta of its unique split M = rot(theta) @
 [[a, b], [0, 1/a]], a > 0.  With sigma(s) = rot(s) @ U(s) the section
 matrix at s, U = [[f, g], [0, f_inv]], multiplication is
 
-    s * t = the coset angle of sigma(s) @ rot(t),
+    s * t = the coset angle of sigma(s) @ rot(t).
 
-which has identity 0 and, for a valid spec, strictly increasing degree-1
-left and right translations.  Left division is closed form: a * y = b
-says y is the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a),
-with U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection
-on the monotone lift of the right translation.
+A left translation t -> a * t is the action of the one matrix sigma(a) on
+the circle of coset angles, so it is an increasing homeomorphism of degree
+one for every spec: coset columns (p cos y - q sin y, r sin y) with
+p r = det U(a) = 1 have cross product sin(y' - y) > 0 for y < y' < y + pi,
+whatever f_inv and g are.  Left division is closed form: a * y = b says y is
+the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with
+U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection on
+the monotone lift of the right translation.
 
 One formula, `_coset_column`, gives the coset column of
 [[p, q], [0, r]] @ rot(y), and `_coset_angle` the coset angle of
 rot(x) @ [[p, q], [0, r]] @ rot(y); multiplication and left division are
-each one call of the second, and the translation scan reads the first.
+each one call of the second, and the transversal scan reads the first.
 
-For each conjugation angle beta, eta_beta(t) is the coset angle of
+Whether a spec is a loop depends only on its right translations.  For
+each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
 cosets of the conjugated stabilizer.  It is the right translation by beta
 shifted by -beta, eta_beta(t) = t * beta - beta.  The section defines a
-loop exactly when every eta_beta is strictly increasing with winding one;
-the transversal check reads that directly from the forward steps of
-`_translation_steps`, the signed angles between consecutive coset
-columns, which come in blocks of `_SCAN_ROWS` translations so that a
-block's arrays stay in cache.  For a valid spec `eta` is closed form:
-eta_beta rises from 0 to 2*pi over each turn, so its lift at t is its
-value on the turn of t plus 2*pi per whole turn.
+loop exactly when every eta_beta is strictly increasing with winding one.
+`_translation_steps` is the one scan of them: it yields the forward steps
+of eta_beta, the signed angles between consecutive coset columns, in
+blocks of `_SCAN_ROWS` transversals so that a block's arrays stay in
+cache.  For a valid spec `eta` is closed form: eta_beta rises from 0 to
+2*pi over each turn, so its lift at t is its value on the turn of t plus
+2*pi per whole turn.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .builder import LoopSpec
-from .errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
+from .errors import InvalidSpecError, RootNotBracketedError
 from .fourier import TWO_PI
 
 #: residual above which a division result is rejected as unbracketed
@@ -52,9 +55,7 @@ _BISECTION_STEPS = 51
 #: distance from a multiple of 2*pi within which an `eta` value is that
 #: multiple, far above the rounding of `_mul_unchecked`
 _SNAP_TOL = 1e-12
-#: largest winding error |sum of steps - 2*pi| a transversal may show
-_WINDING_TOL = 1e-6
-#: anchors per block of a translation scan: 8 rows of 4096 float64 steps
+#: transversals per block of the eta scan: 8 rows of 4096 float64 steps
 #: are 256 KB, so a block's temporaries stay in a core's L2 cache
 _SCAN_ROWS = 8
 
@@ -81,14 +82,14 @@ def _operation(op):
     return checked
 
 
-def _coset_column(p, q, r, cy, sy):
-    """Coset column of [[p, q], [0, r]] @ rot(y) from (cy, sy) = (cos y, sin y):
-    (p cos y - q sin y, r sin y).
+def _coset_column(p, q, r, y):
+    """Coset column of [[p, q], [0, r]] @ rot(y): (p cos y - q sin y, r sin y).
 
     The first column of that matrix is (p cos y - q sin y, -r sin y); with
     rot clockwise, its coset angle is the polar angle of this vector.  The
-    one formula behind every loop operation and the translation scan.
+    one formula behind every loop operation and the transversal scan.
     """
+    cy, sy = np.cos(y), np.sin(y)
     return p * cy - q * sy, r * sy
 
 
@@ -98,7 +99,7 @@ def _coset_angle(p, q, r, x, y):
     The coset column of `_coset_column` rotated by x in matrix form, which
     stays smooth where a tan-quotient formula has poles.
     """
-    radial, rs = _coset_column(p, q, r, np.cos(y), np.sin(y))
+    radial, rs = _coset_column(p, q, r, y)
     cx, sx = np.cos(x), np.sin(x)
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
@@ -168,44 +169,28 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     return x if x.shape else float(x)
 
 
-def _translation_steps(spec: LoopSpec, anchors, ts, side: str) -> Iterator[np.ndarray]:
-    """Forward steps along ts of every translation by an anchor, in row blocks.
+def _translation_steps(spec: LoopSpec, betas, ts) -> Iterator[np.ndarray]:
+    """Forward steps along ts of every eta_beta, in row blocks.
 
     Yields consecutive blocks of at most `_SCAN_ROWS` rows; stacked, row i,
     column j is the step from ts[j] to ts[j + 1] of the lift of
-    t -> a_i * t (side "left") or of t -> t * a_i (side "right"), whose
-    shift by -a_i is eta_{a_i}.  Both are the coset angle of
-    rot(x) @ [[f(u), g(u)], [0, f_inv(u)]] @ rot(y), with (x, u, y) =
-    (0, a, t) on the left and (t - a, t, a) on the right, so f_inv and g
-    are sampled once per scan, at the anchors or at the angles; cos y and
-    sin y are taken once per scan on the left and once per block on the
-    right.  A step is the signed angle between consecutive coset columns
-    of `_coset_column`, plus on the right the increment of x; a right step
-    above pi is taken 2*pi back, so every step lies in (-pi, pi] as an
-    unwrapped lift reads it.  The arithmetic of a row does not depend on
-    its block.
+    eta_{beta_i}, the coset angle of rot(t - beta) @ U(t) @ rot(beta), so
+    f_inv and g are sampled once per scan, at ts, and cos beta and sin beta
+    once per block.  A step is the signed angle between consecutive coset
+    columns of `_coset_column` plus the increment of t; a step above pi is
+    taken 2*pi back, so every step lies in (-pi, pi] as an unwrapped lift
+    reads it.  The arithmetic of a row does not depend on its block.
     """
-    anchors = np.asarray(anchors, dtype=float)[:, None]
+    betas = np.asarray(betas, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
-    u = anchors if side == "left" else ts
-    fh = spec.f_inv(u)
-    p, q = 1.0 / fh, spec.g(u)
-    if side == "left":
-        cy, sy = np.cos(ts), np.sin(ts)
-    else:
-        dts = np.diff(ts)
-    for start in range(0, anchors.shape[0], _SCAN_ROWS):
-        rows = slice(start, start + _SCAN_ROWS)
-        if side == "left":
-            c, s = _coset_column(p[rows], q[rows], fh[rows], cy, sy)
-        else:
-            y = anchors[rows]
-            c, s = _coset_column(p, q, fh, np.cos(y), np.sin(y))
+    fh = spec.f_inv(ts)
+    p, q = 1.0 / fh, spec.g(ts)
+    dts = np.diff(ts)
+    for start in range(0, betas.shape[0], _SCAN_ROWS):
+        c, s = _coset_column(p, q, fh, betas[start : start + _SCAN_ROWS])
         c0, c1, s0, s1 = c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:]
-        steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1)
-        if side == "right":
-            steps += dts
-            steps[steps > np.pi] -= TWO_PI
+        steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1) + dts
+        steps[steps > np.pi] -= TWO_PI
         yield steps
 
 
@@ -230,90 +215,22 @@ def _worst_step(blocks: Iterable[np.ndarray]) -> tuple[float, int, int, float, i
     return float(lows[k]), *spots[k], float(winding[w]), w
 
 
-def _require_points(**sizes: int) -> None:
-    """InvalidGridError naming the first scan grid size below one point."""
-    for name, n in sizes.items():
-        if n < 1:
-            raise InvalidGridError(f"{name} must be at least 1, got {n}")
+@_operation
+def eta(spec: LoopSpec, w, t):
+    """Continuous lift of eta_w at t, anchored at eta_w(0) = 0, with w = tan(beta).
 
-
-def _eta_turns(spec: LoopSpec, w, t):
-    """eta_w at t as (value on the turn of t, in [0, 2*pi], whole turns of t).
-
-    For a valid spec eta_w rises strictly from eta_w(0) = 0 to 2*pi over
-    [0, 2*pi], so on the turn of t it is (tau * beta - beta) mod 2*pi with
-    tau = t mod 2*pi and beta = arctan w.  A value within rounding of 0
-    or 2*pi is snapped to the end of the turn that tau is nearer.
+    t may be an array.  For a valid spec eta_w rises strictly from
+    eta_w(0) = 0 to 2*pi over [0, 2*pi], so on the turn of t it is
+    (tau * beta - beta) mod 2*pi with tau = t mod 2*pi, and the lift adds
+    2*pi per whole turn of t.  A value within rounding of 0 or 2*pi is
+    snapped to the end of the turn that tau is nearer.  Closed form: one
+    loop product per angle, whatever the size of t, so the lift does not
+    depend on how densely an array samples the turn.  eta_0(t) = t for
+    every spec, and for the trivial spec eta_w(t) = t for all w.
     """
     beta = np.arctan(w)
     turns, tau = np.divmod(np.asarray(t, dtype=float), TWO_PI)
     value = (_mul_unchecked(spec, tau, beta) - beta) % TWO_PI
     at_end = np.minimum(value, TWO_PI - value) < _SNAP_TOL
-    return np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value), turns
-
-
-@_operation
-def eta_lift(spec: LoopSpec, w: float, ts: np.ndarray) -> np.ndarray:
-    """Continuous lift of eta_w along ts, with w = tan(beta).
-
-    Starts at eta_w(ts[0]) reduced to (-pi, pi]; for ts[0] = 0 that is
-    eta_w(0) = 0.  Like every operation it needs a valid spec; a
-    non-finite sample reads NaN.  Closed form at each sample, so the
-    lift does not depend on how densely ts samples the turn.
-    """
-    value, turns = _eta_turns(spec, w, ts)
-    return value + TWO_PI * (turns - turns[:1] - (value[:1] > np.pi))
-
-
-@_operation
-def eta(spec: LoopSpec, w: float, t: float) -> float:
-    """Continuous lift of eta_w at a single angle, anchored at eta_w(0) = 0.
-
-    eta_0(t) = t for every spec, and for the trivial spec eta_w(t) = t for
-    all w.  Closed form: one loop product, whatever the size of t.
-    """
-    value, turns = _eta_turns(spec, w, t)
-    return float(value + TWO_PI * turns)
-
-
-@dataclass(frozen=True)
-class TransversalReport:
-    """Monotonicity and winding of eta_beta over a grid of conjugation angles."""
-
-    passed: bool
-    beta_count: int
-    t_count: int
-    worst_margin: float        # smallest forward step of any eta_beta
-    worst_beta: float
-    worst_t: float
-    worst_winding_error: float  # largest |sum of the steps - 2pi|
-    worst_winding_beta: float
-
-
-def baer_transversal_check(
-    spec: LoopSpec,
-    beta_grid: int = 64,
-    t_grid: int = 4096,
-) -> TransversalReport:
-    """Check every sampled conjugate transversal for strict monotonicity.
-
-    For beta on a uniform grid over [0, pi) (conjugation by rot(beta) and
-    rot(beta + pi) agree), the lift of eta_beta over [0, 2*pi] must be
-    strictly increasing and gain exactly 2*pi.  Does not require a valid
-    spec: this is the check that exposes a corrupted one.  Both grids need
-    at least one point, else InvalidGridError.
-    """
-    _require_points(beta_grid=beta_grid, t_grid=t_grid)
-    ts = np.linspace(0.0, TWO_PI, t_grid + 1)
-    betas = np.linspace(0.0, np.pi, beta_grid, endpoint=False)
-    step, i, j, wind, w = _worst_step(_translation_steps(spec, betas, ts, "right"))
-    return TransversalReport(
-        passed=step > 0.0 and wind < _WINDING_TOL,
-        beta_count=beta_grid,
-        t_count=t_grid,
-        worst_margin=step,
-        worst_beta=float(betas[i]),
-        worst_t=float(ts[j]),
-        worst_winding_error=wind,
-        worst_winding_beta=float(betas[w]),
-    )
+    lift = np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value) + TWO_PI * turns
+    return lift if lift.shape else float(lift)

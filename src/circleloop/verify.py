@@ -15,11 +15,15 @@ import numpy as np
 
 from . import ops
 from .builder import LoopSpec, reflect_spec, subfunction_bound
-from .errors import InvalidGridError, RootNotBracketedError, UnknownSuiteError
+from .errors import (
+    InvalidGridError, NonPositiveProfileError, RootNotBracketedError, UnknownSuiteError,
+)
 from .fourier import TWO_PI
 
 #: default seed for randomized suites, recorded in their results
 DEFAULT_SEED = 20260810
+#: largest winding error |sum of steps - 2*pi| an eta_beta scan may show
+_WINDING_TOL = 1e-6
 
 SUITE_NAMES = ("axioms", "baer", "isomorphism", "oracle", "psl2")
 
@@ -41,25 +45,32 @@ def _worst(details: list[Detail]) -> float:
     return max((v for _, _, v in details), default=0.0)
 
 
+def _require_points(**sizes: int) -> None:
+    """InvalidGridError naming the first scan grid size below one point."""
+    for name, n in sizes.items():
+        if n < 1:
+            raise InvalidGridError(f"{name} must be at least 1, got {n}")
+
+
 def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
-    """Identity laws, division round trips, and translation monotonicity.
+    """Identity laws, division round trips, and right-translation monotonicity.
 
     Round trips are recovery checks: ldiv(a, a*y) must return y itself and
     rdiv(x*a, a) must return x itself, which also exercises uniqueness of
     the solutions, not merely the residual of some solution.
 
     Monotonicity reads, on a 4097-point grid, the forward steps of
-    t -> a * t for every grid anchor a and of t -> t * a for the anchors
-    in [0, pi): t * (a + pi) is t * a turned by pi, with the same steps.
-    Each step is the signed angle between consecutive coset columns, so no
-    lift is unwrapped.  Its violation is the worst backward step, or the
-    worst winding error |sum of steps - 2*pi| once that reaches 1e-6.  For
-    a valid spec every such map is a strictly increasing degree-1 circle
-    map; a failing right translation is precisely a failure of sharp
-    transitivity (two left translations carrying the anchor to the same
-    point).  grid_n below 1 raises InvalidGridError.
+    t -> t * a for the grid anchors a in [0, pi): t * (a + pi) is t * a
+    turned by pi, with the same steps, and t -> t * a is eta_a shifted by
+    a, so these are rows of the `baer` scan.  Its violation is the worst
+    backward step, or the worst winding error |sum of steps - 2*pi| once
+    that reaches the winding tolerance.  A failing right translation is
+    precisely a failure of sharp transitivity (two left translations
+    carrying the anchor to the same point).  Left translations are not
+    scanned: each is the action of one unimodular matrix, increasing with
+    degree one for every spec.  grid_n below 1 raises InvalidGridError.
     """
-    ops._require_points(grid_n=grid_n)
+    _require_points(grid_n=grid_n)
     angles = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     aa, bb = np.meshgrid(angles, angles, indexing="ij")
     details: list[Detail] = []
@@ -92,13 +103,13 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     cases += 2 * grid_n * grid_n
 
     ts = np.linspace(0.0, TWO_PI, 4097)
-    for side, anchors in (("left", angles), ("right", angles[angles < np.pi])):
-        step, i, j, wind, _ = ops._worst_step(ops._translation_steps(spec, anchors, ts, side))
-        violation = max(0.0, -step, 0.0 if wind < 1e-6 else wind)
-        details.append(
-            (f"{side}-translation-monotonicity", (float(anchors[i]), float(ts[j])), violation)
-        )
-        cases += anchors.size * 4096
+    anchors = angles[angles < np.pi]
+    step, i, j, wind, _ = ops._worst_step(ops._translation_steps(spec, anchors, ts))
+    violation = max(0.0, -step, 0.0 if wind < _WINDING_TOL else wind)
+    details.append(
+        ("right-translation-monotonicity", (float(anchors[i]), float(ts[j])), violation)
+    )
+    cases += anchors.size * 4096
 
     worst = _worst(details)
     return SuiteResult("axioms", worst <= 1e-9, cases, worst, 1e-9, tuple(details))
@@ -107,16 +118,27 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
 def run_baer_suite(
     spec: LoopSpec, beta_grid: int = 64, t_grid: int = 4096
 ) -> SuiteResult:
-    """Strict monotonicity and unit winding of every sampled eta_beta."""
-    rep = ops.baer_transversal_check(spec, beta_grid, t_grid)
-    violation = max(max(0.0, -rep.worst_margin), rep.worst_winding_error)
+    """Strict monotonicity and unit winding of every sampled eta_beta.
+
+    For beta on a uniform grid over [0, pi) (conjugation by rot(beta) and
+    rot(beta + pi) agree), the lift of eta_beta over t_grid equal steps of
+    [0, 2*pi] must rise at every step and gain exactly 2*pi.  Does not
+    require a valid spec: this is the check that exposes a corrupted one.
+    Both grids need at least one point, else InvalidGridError.
+    """
+    _require_points(beta_grid=beta_grid, t_grid=t_grid)
+    ts = np.linspace(0.0, TWO_PI, t_grid + 1)
+    betas = np.linspace(0.0, np.pi, beta_grid, endpoint=False)
+    step, i, j, wind, w = ops._worst_step(ops._translation_steps(spec, betas, ts))
+    where, backward = (float(betas[i]), float(ts[j])), max(0.0, -step)
     details = (
-        ("eta-monotonicity", (rep.worst_beta, rep.worst_t), max(0.0, -rep.worst_margin)),
-        ("eta-winding", rep.worst_winding_beta, rep.worst_winding_error),
-        ("eta-min-step", (rep.worst_beta, rep.worst_t), rep.worst_margin),
+        ("eta-monotonicity", where, backward),
+        ("eta-winding", float(betas[w]), wind),
+        ("eta-min-step", where, step),
     )
     return SuiteResult(
-        "baer", rep.passed, beta_grid * t_grid, violation, 1e-6, details
+        "baer", step > 0.0 and wind < _WINDING_TOL, beta_grid * t_grid,
+        max(backward, wind), _WINDING_TOL, details,
     )
 
 
@@ -130,7 +152,7 @@ def check_isomorphism_pair(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     intertwiner and is reported, not silently resolved.  grid_n below 1
     raises InvalidGridError.
     """
-    ops._require_points(grid_n=grid_n)
+    _require_points(grid_n=grid_n)
     mirror = reflect_spec(spec)
     angles = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
     ss, tt = np.meshgrid(angles, angles, indexing="ij")
@@ -207,10 +229,13 @@ def oracle_crosscheck_suite(
     weighted = half * ((weight(u) * np.exp(-u)) @ weights)
     energy = half * ((f_inv(u) ** 2 - f_inv.derivative_at(u) ** 2) @ weights)
     profile = f_inv(ts)
+    try:
+        bound_gap = np.abs(subfunction_bound(f_inv, ts) - energy / profile)
+    except (NonPositiveProfileError, ValueError):
+        # h is undefined: f_inv is not positive, or its energy series overflows
+        bound_gap = np.full(ts.shape, np.inf)
     gaps = zip(
-        ts.tolist(),
-        np.abs(profile - np.exp(ts) * (1.0 - weighted)).tolist(),
-        np.abs(subfunction_bound(f_inv, ts) - energy / profile).tolist(),
+        ts.tolist(), np.abs(profile - np.exp(ts) * (1.0 - weighted)).tolist(), bound_gap.tolist()
     )
     details: list[Detail] = []
     for t, profile_gap, bound_gap in gaps:

@@ -12,6 +12,7 @@ from circleloop import (
     solve_a0,
     solve_g_const,
 )
+from circleloop.errors import InvalidGridError
 
 TWO_PI = 2.0 * np.pi
 
@@ -19,6 +20,22 @@ TWO_PI = 2.0 * np.pi
 # import the same source tree as the tests themselves.
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
+
+def simpson_quadrature(fn, lo: float, hi: float, n: int) -> float:
+    """Composite Simpson rule with n subintervals (n even), error O(n^-4).
+
+    The tests' independent reference rule for the closed forms of the
+    package (the oracle suite integrates by Gauss–Legendre instead); `fn`
+    must accept a numpy array.  An odd n, or n below 2, raises
+    InvalidGridError.
+    """
+    if n < 2 or n % 2 != 0:
+        raise InvalidGridError(f"Simpson rule needs an even n >= 2, got {n}")
+    xs = np.linspace(lo, hi, n + 1)
+    ys = np.asarray(fn(xs), dtype=float)
+    h = (hi - lo) / n
+    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
 
 
 def circ_dist(x, y):

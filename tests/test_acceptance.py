@@ -14,19 +14,20 @@ from circleloop import (
     FourierSeries,
     build_loop_spec,
     check_isomorphism_pair,
-    eta_lift,
+    eta,
     ldiv,
     mul,
     rdiv,
     reflect_spec,
-    simpson_quadrature,
+    run_baer_suite,
     solve_a0,
     subfunction_bound,
 )
-from circleloop.ops import baer_transversal_check
 from circleloop.verify import run_psl2_suite
 
-from conftest import circ_dist, random_admissible_spec, random_admissible_weight
+from conftest import (
+    circ_dist, random_admissible_spec, random_admissible_weight, simpson_quadrature,
+)
 from matrix_oracle import eta_derivative_expr
 
 TWO_PI = 2.0 * np.pi
@@ -131,26 +132,26 @@ def test_criterion_4_loop_axioms(trivial_spec, example_spec, shear_spec, even_sp
 def test_criterion_5_sharp_transitivity(
     trivial_spec, example_spec, shear_spec, even_spec, corrupted_spec
 ):
+    def scan(spec):
+        res = run_baer_suite(spec, 64, 4096)
+        details = {name: (where, value) for name, where, value in res.details}
+        return res, details["eta-min-step"], details["eta-winding"][1]
+
     ok = True
     worst_wind = worst_margin = None
     for spec in (trivial_spec, example_spec, shear_spec, even_spec):
-        rep = baer_transversal_check(spec, 64, 4096)
-        ok = ok and rep.passed and rep.worst_margin > 0 and rep.worst_winding_error < 1e-6
-        worst_margin = min(rep.worst_margin, worst_margin or np.inf)
-        worst_wind = max(rep.worst_winding_error, worst_wind or 0.0)
-    bad = baer_transversal_check(corrupted_spec, 64, 4096)
-    detected = (
-        not bad.passed
-        and bad.worst_margin < 0
-        and np.isfinite(bad.worst_beta)
-        and np.isfinite(bad.worst_t)
-    )
+        res, (_, margin), wind = scan(spec)
+        ok = ok and res.passed and margin > 0 and wind < 1e-6
+        worst_margin = min(margin, worst_margin or np.inf)
+        worst_wind = max(wind, worst_wind or 0.0)
+    bad, ((beta, t), violation), _ = scan(corrupted_spec)
+    detected = not bad.passed and violation < 0 and np.isfinite(beta) and np.isfinite(t)
     _report(
         5,
         "64 transversals strictly increasing with unit winding; corrupted spec located",
         ok and detected,
         f"min step {worst_margin:.2e}, winding err {worst_wind:.2e}, "
-        f"violation {bad.worst_margin:.2e} at (beta={bad.worst_beta:.3f}, t={bad.worst_t:.3f})",
+        f"violation {violation:.2e} at (beta={beta:.3f}, t={t:.3f})",
     )
 
 
@@ -161,7 +162,7 @@ def test_criterion_6_derivative_sign_equivalence(example_spec, shear_spec):
     for spec in (example_spec, shear_spec):
         for _ in range(60):
             w = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3, 3))
-            lift = eta_lift(spec, w, ts)
+            lift = eta(spec, w, ts)
             slope = np.gradient(lift, ts)
             for i in rng.integers(2, 4095, size=90):
                 t = float(ts[i])

@@ -12,7 +12,6 @@ from circleloop import (
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
-    simpson_quadrature,
     solve_a0,
     solve_g_const,
     subfunction_bound,
@@ -21,7 +20,7 @@ from circleloop import (
 from circleloop.builder import Tolerances, _admissibility_q, uniform_grid
 from circleloop.errors import NonPositiveProfileError
 
-from conftest import random_admissible_weight, random_admissible_spec
+from conftest import random_admissible_weight, random_admissible_spec, simpson_quadrature
 from matrix_oracle import transitivity_quadratic
 
 TWO_PI = 2.0 * np.pi

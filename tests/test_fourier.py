@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from circleloop import FourierSeries, build_loop_spec, simpson_quadrature, solve_a0
+from circleloop import FourierSeries, build_loop_spec, solve_a0
 from circleloop.errors import InvalidGridError
+
+from conftest import simpson_quadrature
 
 TWO_PI = 2.0 * np.pi
 

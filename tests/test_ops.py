@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from circleloop import (
     FourierSeries,
     Tolerances,
-    baer_transversal_check,
     build_loop_spec,
     eta,
-    eta_lift,
     ldiv,
     mul,
     rdiv,
     solve_a0,
     solve_g_const,
+    weight_from_f_inv,
 )
 from circleloop import ops
 from circleloop.errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
@@ -31,7 +30,7 @@ from circleloop.ops import (
     _worst_step,
 )
 from circleloop.specfile import load_spec_file
-from circleloop.verify import run_axiom_suite
+from circleloop.verify import run_axiom_suite, run_baer_suite
 
 from conftest import circ_dist, random_admissible_spec
 from matrix_oracle import (
@@ -89,10 +88,14 @@ def reference_eta_lift(spec, beta: float, ts):
     return np.unwrap(np.arctan2(radial * stb + fh * sb * ctb, radial * ctb - fh * sb * stb))
 
 
-def reference_translation_steps(spec, anchors, ts, side: str):
-    """Reference forward steps: each translation's coset angles along ts, unwrapped, then differenced."""
+def reference_translation_steps(spec, anchors, ts, translation: str):
+    """Reference forward steps: each translation's coset angles along ts, unwrapped, then differenced.
+
+    "left" is t -> a * t and "right" is t -> t * a; the steps do not
+    depend on the constant a by which eta_a is shifted.
+    """
     anchors = np.asarray(anchors, dtype=float)[:, None]
-    if side == "left":
+    if translation == "left":
         u, x, y = anchors, 0.0, ts
     else:
         u, x, y = ts, ts - anchors, anchors
@@ -100,9 +103,36 @@ def reference_translation_steps(spec, anchors, ts, side: str):
     return np.diff(np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1), axis=-1)
 
 
-def stacked_steps(spec, anchors, ts, side: str) -> np.ndarray:
-    """The row blocks of `_translation_steps`, stacked into one matrix."""
-    return np.vstack(list(_translation_steps(spec, anchors, ts, side)))
+def left_translation_steps(spec, anchors, ts) -> np.ndarray:
+    """Forward steps along ts of t -> a * t, one row per anchor, by matrix algebra.
+
+    The package scans no left translation: each is the action of the one
+    unimodular matrix sigma(a).  Row i holds the signed angles between
+    consecutive coset vectors (m11, -m21) of sigma(a_i) @ rot(t), whose
+    first columns are sigma(a_i) @ (cos t, -sin t).
+    """
+    rows = []
+    for a in np.asarray(anchors, dtype=float):
+        fh = float(spec.f_inv(a))
+        sigma = rot(a) @ np.array([[1.0 / fh, float(spec.g(a))], [0.0, fh]])
+        x, m21 = sigma @ np.array([np.cos(ts), -np.sin(ts)])
+        y = -m21
+        rows.append(np.arctan2(x[:-1] * y[1:] - y[:-1] * x[1:], x[:-1] * x[1:] + y[:-1] * y[1:]))
+    return np.array(rows)
+
+
+def step_blocks(spec, anchors, ts, translation: str) -> list:
+    """Row blocks of forward steps: the package's eta scan `_translation_steps`
+    ("right"), or `left_translation_steps` cut into blocks of the same size ("left")."""
+    if translation == "right":
+        return list(_translation_steps(spec, anchors, ts))
+    steps = left_translation_steps(spec, anchors, ts)
+    return [steps[i : i + ops._SCAN_ROWS] for i in range(0, len(steps), ops._SCAN_ROWS)]
+
+
+def stacked_steps(spec, anchors, ts, translation: str = "right") -> np.ndarray:
+    """The row blocks of `step_blocks`, stacked into one matrix."""
+    return np.vstack(step_blocks(spec, anchors, ts, translation))
 
 
 def one_shot_worst_step(steps):
@@ -172,13 +202,34 @@ class TestMul:
                 m = section(spec, float(s)).matrix @ rot(float(t))
                 assert circ_dist(mul(spec, s, t), angle_of(m)) < 1e-12
 
-    def test_left_translation_monotone_degree_one(self, shear_spec):
-        ts = np.linspace(0.0, TWO_PI, 4097)
-        for a in (0.0, 1.1, 3.9, 5.6):
-            lift = np.unwrap(mul(shear_spec, a, ts))
-            steps = np.diff(lift)
-            assert steps.min() > 0
-            assert lift[-1] - lift[0] == pytest.approx(TWO_PI, abs=1e-9)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from([1, 2, 4, 8]),
+        f_min=st.sampled_from([0.5, -0.5, -3.0]),
+        g_max=st.sampled_from([0.0, 1.0, 1e3]),
+    )
+    def test_left_translation_monotone_degree_one(self, seed, k, f_min, g_max):
+        # t -> a * t is the action of the one unimodular matrix sigma(a), so it
+        # rises with degree one for every spec, admissible or not: here F reaches
+        # f_min, down to F <= 0, and |g| reaches g_max, with |F(a)| >= 1e-3
+        rng = np.random.default_rng(seed)
+        grid = np.linspace(0.0, TWO_PI, 4097)
+        pc, ps, gc, gs = rng.normal(size=(4, k)) / np.arange(1, k + 1)
+        dip = FourierSeries(-pc.sum(), pc, ps)  # dip(0) = 0, so min dip <= 0
+        pc, ps = (1.0 - f_min) / max(-dip(grid).min(), 1e-3) * np.array([pc, ps])
+        shear = FourierSeries(solve_g_const(tuple(gc)), gc, gs)
+        gc, gs = g_max / max(np.abs(shear(grid)).max(), 1e-3) * np.array([gc, gs])
+        f_inv = FourierSeries(1.0 - pc.sum(), pc, ps)
+        spec = build_loop_spec(
+            weight_from_f_inv(f_inv), FourierSeries(solve_g_const(tuple(gc)), gc, gs)
+        )
+        anchors = rng.uniform(0.0, TWO_PI, 16)
+        anchors = anchors[np.abs(spec.f_inv(anchors)) >= 1e-3][:, None]
+        assert anchors.size
+        lift = np.unwrap(_mul_unchecked(spec, anchors, grid), axis=-1)
+        assert np.diff(lift, axis=-1).min() > 0.0
+        assert np.max(np.abs(lift[:, -1] - lift[:, 0] - TWO_PI)) <= 1e-9
 
     def test_invalid_spec_rejected(self):
         bad = build_loop_spec(FourierSeries(0.5))
@@ -284,7 +335,7 @@ class TestEta:
 
     def test_lift_continuity_through_poles(self, example_spec):
         ts = np.linspace(0.0, TWO_PI, 4097)
-        lift = eta_lift(example_spec, 2.5, ts)
+        lift = eta(example_spec, 2.5, ts)
         assert abs(lift[0]) < 1e-12
         assert np.max(np.abs(np.diff(lift))) < 0.05  # no branch jumps
         assert lift[-1] - lift[0] == pytest.approx(TWO_PI, abs=1e-9)
@@ -294,12 +345,16 @@ class TestEta:
         spec = spec_from_file(name)
         if not spec.verdict:
             with pytest.raises(InvalidSpecError):
-                eta_lift(spec, 0.7, np.zeros(2))
+                eta(spec, 0.7, np.zeros(2))
             return
         for ts in (np.linspace(0.0, TWO_PI, 1025), np.linspace(-3.0, 20.0, 8193)):
             for beta in (-1.2, -0.3, 0.0, 0.6, 1.5):
-                lift = eta_lift(spec, float(np.tan(beta)), ts)
-                assert np.max(np.abs(lift - reference_eta_lift(spec, beta, ts))) <= 1e-12
+                lift = eta(spec, float(np.tan(beta)), ts)
+                reference = reference_eta_lift(spec, beta, ts)
+                # the reference starts in (-pi, pi], eta at eta_w(0) = 0: whole turns apart
+                turns = np.round((lift[0] - reference[0]) / TWO_PI)
+                assert turns == 0 or ts[0] != 0.0
+                assert np.max(np.abs(lift - reference - TWO_PI * turns)) <= 1e-12
 
     def test_whole_turns_are_exact(self):
         # eta_w(2*pi*m) = 2*pi*m, though the rounded product may land just short of a turn
@@ -328,28 +383,31 @@ class TestTranslationLifts:
     def test_right_lifts_match_reference_eta(self, name):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
-        steps = stacked_steps(spec, SCAN_ANCHORS, ts, "right")
+        steps = stacked_steps(spec, SCAN_ANCHORS, ts)
         for beta, row in zip(SCAN_ANCHORS, steps):
             assert np.max(np.abs(row - np.diff(reference_eta_lift(spec, float(beta), ts)))) <= 1e-12
 
     @pytest.mark.parametrize("name", SPEC_FILES + ["k64"])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_steps_match_unwrapped_reference(self, name, side):
+    @pytest.mark.parametrize("translation", ["left", "right"])
+    def test_steps_match_unwrapped_reference(self, name, translation):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 4097)
-        steps = stacked_steps(spec, SCAN_ANCHORS, ts, side)
-        reference = reference_translation_steps(spec, SCAN_ANCHORS, ts, side)
+        steps = stacked_steps(spec, SCAN_ANCHORS, ts, translation)
+        reference = reference_translation_steps(spec, SCAN_ANCHORS, ts, translation)
         assert np.max(np.abs(steps - reference)) <= 1e-12
 
     @pytest.mark.parametrize("name", SPEC_FILES)
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_rows_are_translations_shifted_by_anchor(self, name, side):
+    @pytest.mark.parametrize("translation", ["left", "right"])
+    def test_rows_are_translations_shifted_by_anchor(self, name, translation):
         spec = spec_from_file(name)
         ts = np.linspace(0.0, TWO_PI, 1025)
         anchors = np.linspace(0.0, TWO_PI, 12, endpoint=False)
-        steps = stacked_steps(spec, anchors, ts, side)
+        steps = stacked_steps(spec, anchors, ts, translation)
         for a, row in zip(anchors, steps):
-            img = _mul_unchecked(spec, a, ts) if side == "left" else _mul_unchecked(spec, ts, a)
+            if translation == "left":
+                img = _mul_unchecked(spec, a, ts)
+            else:
+                img = _mul_unchecked(spec, ts, a)
             assert np.max(np.abs(row - np.diff(np.unwrap(img)))) < 1e-12
             # the steps carry the translation from its first image to every other
             walked = img[0] + np.concatenate(([0.0], np.cumsum(row)))
@@ -387,24 +445,26 @@ class TestTranslationLifts:
         assert np.isnan(wind) and wind_row == 3
 
     @pytest.mark.parametrize("count", [1, 5, 13, 64, 100])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_blocked_worst_step_equals_one_shot(self, corrupted_spec, example_spec, side, count):
+    @pytest.mark.parametrize("translation", ["left", "right"])
+    def test_blocked_worst_step_equals_one_shot(
+        self, corrupted_spec, example_spec, translation, count
+    ):
         ts = np.linspace(0.0, TWO_PI, 4097)
         anchors = np.linspace(0.0, TWO_PI, count, endpoint=False)
         for spec in (corrupted_spec, example_spec):
-            blocked = _worst_step(_translation_steps(spec, anchors, ts, side))
-            assert blocked == one_shot_worst_step(stacked_steps(spec, anchors, ts, side))
+            blocks = step_blocks(spec, anchors, ts, translation)
+            assert _worst_step(blocks) == one_shot_worst_step(np.vstack(blocks))
 
     def test_tie_across_scan_blocks_goes_to_first_row(self, corrupted_spec):
         # the worst anchor twice, in the last row of one block and the first of the next
         ts = np.linspace(0.0, TWO_PI, 4097)
         anchors = np.linspace(0.0, np.pi, 64, endpoint=False)
-        worst = anchors[_worst_step(_translation_steps(corrupted_spec, anchors, ts, "right"))[1]]
+        worst = anchors[_worst_step(_translation_steps(corrupted_spec, anchors, ts))[1]]
         rows = ops._SCAN_ROWS
         tied = np.concatenate([np.full(rows - 1, 0.1), [worst, worst], np.full(rows, 0.1)])
-        step, row, col, _, _ = _worst_step(_translation_steps(corrupted_spec, tied, ts, "right"))
+        step, row, col, _, _ = _worst_step(_translation_steps(corrupted_spec, tied, ts))
         assert step < 0.0 and row == rows - 1
-        assert one_shot_worst_step(stacked_steps(corrupted_spec, tied, ts, "right"))[:3] == (step, row, col)
+        assert one_shot_worst_step(stacked_steps(corrupted_spec, tied, ts))[:3] == (step, row, col)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), max_k=st.sampled_from([1, 4, 16]))
@@ -413,8 +473,8 @@ class TestTranslationLifts:
         spec = random_admissible_spec(np.random.default_rng(seed), max_k)
         ts = np.linspace(0.0, TWO_PI, 4097)
         anchors = np.linspace(0.0, TWO_PI, 16, endpoint=False)
-        for side in ("left", "right"):
-            steps = stacked_steps(spec, anchors, ts, side)
+        for translation in ("left", "right"):
+            steps = stacked_steps(spec, anchors, ts, translation)
             assert steps.min() > 0.0
             assert np.max(np.abs(steps.sum(axis=-1) - TWO_PI)) < 1e-12
 
@@ -424,7 +484,8 @@ OPERATIONS = {
     "ldiv": ldiv,
     "rdiv": rdiv,
     "eta": eta,
-    "eta_lift": lambda spec, w, t: eta_lift(spec, w, np.array([0.0, t, 1.0]))[1],
+    # eta along an array of angles: its lift there, anchored at eta_w(0) = 0
+    "eta_lift": lambda spec, w, t: eta(spec, w, np.array([0.0, t, 1.0]))[1],
     "section": lambda spec, t: section(spec, t).matrix,
 }
 
@@ -455,9 +516,9 @@ class TestOperationGate:
 
     def test_lift_masks_only_the_bad_sample(self, example_spec):
         ts = np.array([0.0, 0.5, np.inf, 1.0])
-        lift = eta_lift(example_spec, 0.5, ts)
+        lift = eta(example_spec, 0.5, ts)
         assert np.isnan(lift[2]) and np.isfinite(lift[[0, 1, 3]]).all()
-        assert lift[1] == eta_lift(example_spec, 0.5, ts[:2])[1]
+        assert lift[1] == eta(example_spec, 0.5, ts[:2])[1]
 
 
 class TestEtaDerivativeExpr:
@@ -491,43 +552,52 @@ class TestEtaDerivativeExpr:
 
 
 class TestTransversalCheck:
+    """The eta_beta scan as suite `baer` reads it, detail by detail."""
+
+    @staticmethod
+    def details(spec, beta_grid, t_grid):
+        res = run_baer_suite(spec, beta_grid, t_grid)
+        return res, {name: (where, value) for name, where, value in res.details}
+
     def test_trivial_maximal_margins(self, trivial_spec):
-        rep = baer_transversal_check(trivial_spec, 16, 1024)
-        assert rep.passed
+        res, details = self.details(trivial_spec, 16, 1024)
+        assert res.passed
         # eta_beta == identity, so every forward step is exactly the grid step
-        assert rep.worst_margin == pytest.approx(TWO_PI / 1024, abs=1e-12)
-        assert rep.worst_winding_error < 1e-12
+        assert details["eta-min-step"][1] == pytest.approx(TWO_PI / 1024, abs=1e-12)
+        assert details["eta-winding"][1] < 1e-12
 
     def test_example_passes_full_grid(self, example_spec):
-        rep = baer_transversal_check(example_spec, 64, 4096)
-        assert rep.passed
-        assert rep.worst_margin > 0
-        assert rep.worst_winding_error < 1e-6
+        res, details = self.details(example_spec, 64, 4096)
+        assert res.passed
+        assert details["eta-min-step"][1] > 0
+        assert details["eta-winding"][1] < 1e-6
 
     def test_corrupted_detected_with_location(self, corrupted_spec):
-        rep = baer_transversal_check(corrupted_spec, 64, 4096)
-        assert not rep.passed
-        assert rep.worst_margin < 0
-        assert 0.0 <= rep.worst_beta < np.pi
-        assert 0.0 <= rep.worst_t <= TWO_PI
+        res, details = self.details(corrupted_spec, 64, 4096)
+        (beta, t), step = details["eta-min-step"]
+        assert not res.passed
+        assert step < 0
+        assert details["eta-monotonicity"] == ((beta, t), -step)
+        assert 0.0 <= beta < np.pi
+        assert 0.0 <= t <= TWO_PI
         # the violation is genuine: the quadratic goes negative there too
-        w = float(np.tan(rep.worst_beta)) if abs(rep.worst_beta - np.pi / 2) > 1e-9 else 1e12
+        w = float(np.tan(beta)) if abs(beta - np.pi / 2) > 1e-9 else 1e12
         ts = np.linspace(0, TWO_PI, 2049)
         assert np.min(transitivity_quadratic(corrupted_spec, w, ts)) < 0
 
     def test_one_step_per_turn_fails(self, example_spec, trivial_spec):
         # a single step of 2*pi reads as about 0, so the winding is lost
         for spec in (example_spec, trivial_spec):
-            rep = baer_transversal_check(spec, 4, 1)
-            assert not rep.passed
-            assert rep.worst_winding_error == pytest.approx(TWO_PI, abs=1e-9)
+            res, details = self.details(spec, 4, 1)
+            assert not res.passed
+            assert details["eta-winding"][1] == pytest.approx(TWO_PI, abs=1e-9)
 
     @pytest.mark.parametrize(
         "scan, name",
         [
-            (lambda spec: baer_transversal_check(spec, 0, 4096), "beta_grid"),
-            (lambda spec: baer_transversal_check(spec, 64, 0), "t_grid"),
-            (lambda spec: baer_transversal_check(spec, -3, 4096), "beta_grid"),
+            (lambda spec: run_baer_suite(spec, 0, 4096), "beta_grid"),
+            (lambda spec: run_baer_suite(spec, 64, 0), "t_grid"),
+            (lambda spec: run_baer_suite(spec, -3, 4096), "beta_grid"),
             (lambda spec: run_axiom_suite(spec, 0), "grid_n"),
         ],
     )

@@ -47,9 +47,14 @@ class TestAxiomSuite:
         assert all(d[1] is not None for d in bad)
 
     def test_right_translations_scanned_once(self, example_spec):
-        # 64 left anchors, but right anchors only in [0, pi): a + pi gives the same steps
+        # right anchors only in [0, pi): a + pi gives the same steps; left
+        # translations are not scanned, each is the action of one matrix
         res = run_axiom_suite(example_spec, 64)
-        assert res.cases_run == 2 * 64 + 2 * 64 * 64 + (64 + 32) * 4096
+        assert res.cases_run == 2 * 64 + 2 * 64 * 64 + 32 * 4096
+        assert [d[0] for d in res.details] == [
+            "identity-left", "identity-right", "ldiv-roundtrip", "rdiv-roundtrip",
+            "right-translation-monotonicity",
+        ]
 
     def test_identity_checks_tight(self, example_spec):
         res = run_axiom_suite(example_spec, 32)
