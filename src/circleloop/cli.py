@@ -271,8 +271,8 @@ def check(ctx: click.Context, spec_path: str, suite: str, seed: int,
         )
         if res.suite_name == "baer":
             for name, where, value in res.details:
-                if name == "eta-min-step":
-                    click.echo(f"  min eta forward step {value:.6g} at (beta, t)={where}")
+                if name == "eta-min-slope":
+                    click.echo(f"  min eta slope {value:.6g} at (beta, t)={where}")
         if not res.passed:
             for name, where, value in res.details:
                 if value > res.tolerance:

@@ -18,29 +18,22 @@ the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with
 U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection on
 the monotone lift of the right translation.
 
-One formula, `_coset_column`, gives the coset column of
-[[p, q], [0, r]] @ rot(y), and `_coset_angle` the coset angle of
-rot(x) @ [[p, q], [0, r]] @ rot(y); multiplication and left division are
-each one call of the second, and the transversal scan reads the first.
+`_coset_angle` gives the coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y);
+multiplication and left division are each one call of it.
 
-Whether a spec is a loop depends only on its right translations.  For
-each conjugation angle beta, eta_beta(t) is the coset angle of
+For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
 cosets of the conjugated stabilizer.  It is the right translation by beta
 shifted by -beta, eta_beta(t) = t * beta - beta.  The section defines a
-loop exactly when every eta_beta is strictly increasing with winding one.
-`_translation_steps` is the one scan of them: it yields the forward steps
-of eta_beta, the signed angles between consecutive coset columns, in
-blocks of `_SCAN_ROWS` transversals so that a block's arrays stay in
-cache.  For a valid spec `eta` is closed form: eta_beta rises from 0 to
-2*pi over each turn, so its lift at t is its value on the turn of t plus
-2*pi per whole turn.
+loop exactly when every eta_beta is strictly increasing; suite `baer`
+decides that for every beta at once, in closed form.  For a valid spec
+`eta` is closed form too: eta_beta rises from 0 to 2*pi over each turn, so
+its lift at t is its value on the turn of t plus 2*pi per whole turn.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -55,9 +48,6 @@ _BISECTION_STEPS = 51
 #: distance from a multiple of 2*pi within which an `eta` value is that
 #: multiple, far above the rounding of `_mul_unchecked`
 _SNAP_TOL = 1e-12
-#: transversals per block of the eta scan: 8 rows of 4096 float64 steps
-#: are 256 KB, so a block's temporaries stay in a core's L2 cache
-_SCAN_ROWS = 8
 
 
 def _operation(op):
@@ -82,24 +72,17 @@ def _operation(op):
     return checked
 
 
-def _coset_column(p, q, r, y):
-    """Coset column of [[p, q], [0, r]] @ rot(y): (p cos y - q sin y, r sin y).
-
-    The first column of that matrix is (p cos y - q sin y, -r sin y); with
-    rot clockwise, its coset angle is the polar angle of this vector.  The
-    one formula behind every loop operation and the transversal scan.
-    """
-    cy, sy = np.cos(y), np.sin(y)
-    return p * cy - q * sy, r * sy
-
-
 def _coset_angle(p, q, r, x, y):
     """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi].
 
-    The coset column of `_coset_column` rotated by x in matrix form, which
-    stays smooth where a tan-quotient formula has poles.
+    The first column of [[p, q], [0, r]] @ rot(y) is
+    (p cos y - q sin y, -r sin y); with rot clockwise, its coset angle is
+    the polar angle of the coset column (p cos y - q sin y, r sin y).  That
+    column is rotated by x in matrix form, which stays smooth where a
+    tan-quotient formula has poles.
     """
-    radial, rs = _coset_column(p, q, r, y)
+    cy, sy = np.cos(y), np.sin(y)
+    radial, rs = p * cy - q * sy, r * sy
     cx, sx = np.cos(x), np.sin(x)
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
@@ -167,52 +150,6 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
             "a monotone circle map (inadmissible spec?)"
         )
     return x if x.shape else float(x)
-
-
-def _translation_steps(spec: LoopSpec, betas, ts) -> Iterator[np.ndarray]:
-    """Forward steps along ts of every eta_beta, in row blocks.
-
-    Yields consecutive blocks of at most `_SCAN_ROWS` rows; stacked, row i,
-    column j is the step from ts[j] to ts[j + 1] of the lift of
-    eta_{beta_i}, the coset angle of rot(t - beta) @ U(t) @ rot(beta), so
-    f_inv and g are sampled once per scan, at ts, and cos beta and sin beta
-    once per block.  A step is the signed angle between consecutive coset
-    columns of `_coset_column` plus the increment of t; a step above pi is
-    taken 2*pi back, so every step lies in (-pi, pi] as an unwrapped lift
-    reads it.  The arithmetic of a row does not depend on its block.
-    """
-    betas = np.asarray(betas, dtype=float)[:, None]
-    ts = np.asarray(ts, dtype=float)
-    fh = spec.f_inv(ts)
-    p, q = 1.0 / fh, spec.g(ts)
-    dts = np.diff(ts)
-    for start in range(0, betas.shape[0], _SCAN_ROWS):
-        c, s = _coset_column(p, q, fh, betas[start : start + _SCAN_ROWS])
-        c0, c1, s0, s1 = c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:]
-        steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1) + dts
-        steps[steps > np.pi] -= TWO_PI
-        yield steps
-
-
-def _worst_step(blocks: Iterable[np.ndarray]) -> tuple[float, int, int, float, int]:
-    """Scan row blocks of forward steps for monotonicity and unit winding.
-
-    Returns the smallest step of any row with its (row, column), then the
-    largest winding error |sum of the row's steps - 2*pi| with its row,
-    rows counted across the blocks in order; ties and NaN go to the first
-    row and column, as one `argmin` and `argmax` over the stacked rows.
-    """
-    lows, spots, windings, first = [], [], [], 0
-    for steps in blocks:
-        row, col = np.unravel_index(int(steps.argmin()), steps.shape)
-        lows.append(steps[row, col])
-        spots.append((first + int(row), int(col)))
-        windings.append(np.abs(steps.sum(axis=-1) - TWO_PI))
-        first += steps.shape[0]
-    k = int(np.argmin(lows))
-    winding = np.concatenate(windings)
-    w = int(winding.argmax())
-    return float(lows[k]), *spots[k], float(winding[w]), w
 
 
 @_operation

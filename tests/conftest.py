@@ -116,6 +116,18 @@ def random_admissible_spec(rng: np.random.Generator, max_k: int = 4) -> LoopSpec
     raise AssertionError("could not shrink shear to admissibility")
 
 
+def near_boundary_spec(delta: float, k: int = 64, phi: float = np.pi / 1024) -> LoopSpec:
+    """F = 1 and g = eps (sin(k t + phi) - sin phi) with eps = (1 + delta)/k.
+
+    Then Q = 1 + (1 + delta) cos(k t + phi), whose minimum over the circle
+    is -delta: a loop iff delta < 0.
+    """
+    eps = (1.0 + delta) / k
+    cos = (0.0,) * (k - 1) + (eps * np.sin(phi),)
+    sin = (0.0,) * (k - 1) + (eps * np.cos(phi),)
+    return build_loop_spec(FourierSeries(1.0), FourierSeries(solve_g_const(cos), cos, sin))
+
+
 def dense_admissible_spec(seed: int, k: int) -> LoopSpec:
     """Seeded admissible spec with k harmonics in the profile and the shear.
 

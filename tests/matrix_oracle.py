@@ -21,7 +21,10 @@ matters; flipping it silently reverses orientation.
 
 `transitivity_quadratic` is the quadratic in w whose positivity for all w
 and t is sharp transitivity, written in f = 1/f_inv; the builder decides
-the same condition by Q > 0.
+the same condition by Q > 0, and suite `baer` by the least eigenvalue of
+a 2x2 matrix.  `translation_steps` is the dense-beta reference for that
+eigenvalue: the forward steps of sampled eta_beta, read off their coset
+columns.
 """
 
 from __future__ import annotations
@@ -176,3 +179,25 @@ def eta_derivative_expr(spec, w, t):
     factor = np.where(np.abs(ct) < 1e-8, 1.0, ct * ct)
     out = (w * w + 1.0) / factor * quad
     return out if out.shape else float(out)
+
+
+def translation_steps(spec, betas, ts) -> np.ndarray:
+    """Forward steps along ts of every eta_beta, one row per beta.
+
+    Row i, column j is the step from ts[j] to ts[j + 1] of the lift of
+    eta_{beta_i}, the coset angle of rot(t - beta) @ U(t) @ rot(beta): the
+    signed angle between consecutive coset columns
+    (f cos beta - g sin beta, f_inv sin beta), f = 1/f_inv, plus the
+    increment of t.  A step above pi is taken 2*pi back, so every step
+    lies in (-pi, pi] as an unwrapped lift reads it.  Divided by the
+    increment of t, a row's steps are mean slopes of eta_beta.
+    """
+    betas = np.asarray(betas, dtype=float)[:, None]
+    ts = np.asarray(ts, dtype=float)
+    fh = spec.f_inv(ts)
+    c = 1.0 / fh * np.cos(betas) - spec.g(ts) * np.sin(betas)
+    s = fh * np.sin(betas)
+    c0, c1, s0, s1 = c[:, :-1], c[:, 1:], s[:, :-1], s[:, 1:]
+    steps = np.arctan2(c0 * s1 - s0 * c1, c0 * c1 + s0 * s1) + np.diff(ts)
+    steps[steps > np.pi] -= TWO_PI
+    return steps

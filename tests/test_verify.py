@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +11,20 @@ from circleloop import (
     build_loop_spec,
     check_isomorphism_pair,
     mul,
+    ops,
     oracle_crosscheck_suite,
     run_axiom_suite,
     run_baer_suite,
     run_suite,
     verify,
+    weight_from_f_inv,
 )
+from circleloop.builder import check_discriminant
 from circleloop.errors import InvalidGridError, UnknownSuiteError
 from circleloop.specfile import SpecDocument, dump_spec_file
 from circleloop.verify import DEFAULT_SEED, run_psl2_suite
 
-from conftest import circ_dist, dense_admissible_spec, random_admissible_spec
+from conftest import circ_dist, dense_admissible_spec, near_boundary_spec, random_admissible_spec
 
 TWO_PI = 2.0 * np.pi
 
@@ -42,18 +46,17 @@ class TestAxiomSuite:
         bad = [d for d in res.details if d[2] > 1e-9]
         assert bad
         names = {d[0] for d in bad}
-        assert names & {"rdiv-roundtrip", "right-translation-monotonicity"}
+        assert "rdiv-roundtrip" in names
         # every reported violation carries a concrete location
         assert all(d[1] is not None for d in bad)
 
     def test_right_translations_scanned_once(self, example_spec):
-        # right anchors only in [0, pi): a + pi gives the same steps; left
-        # translations are not scanned, each is the action of one matrix
+        # translations are not scanned here: a left one is the action of one
+        # matrix, and suite baer decides every right one, eta_a shifted by a
         res = run_axiom_suite(example_spec, 64)
-        assert res.cases_run == 2 * 64 + 2 * 64 * 64 + 32 * 4096
+        assert res.cases_run == 2 * 64 + 2 * 64 * 64
         assert [d[0] for d in res.details] == [
             "identity-left", "identity-right", "ldiv-roundtrip", "rdiv-roundtrip",
-            "right-translation-monotonicity",
         ]
 
     def test_identity_checks_tight(self, example_spec):
@@ -63,27 +66,63 @@ class TestAxiomSuite:
 
 
     def test_right_monotonicity_agrees_with_baer(self, corrupted_spec):
-        # t -> t * a and eta_a differ by the constant a, and a and a + pi give
-        # the same map, so both suites see the same worst backward step
-        axioms = {d[0]: d for d in run_axiom_suite(corrupted_spec, 64).details}
+        # t -> t * a and eta_a differ by the constant a, so the slopes of the
+        # right translations at the anchors pi j / 32 are slopes baer bounds
+        # below: its least slope is at most theirs, and both are negative
+        ts = np.linspace(0.0, TWO_PI, 4097)
+        anchors = np.linspace(0.0, np.pi, 32, endpoint=False)[:, None]
+        lifts = np.unwrap(ops._mul_unchecked(corrupted_spec, ts, anchors), axis=-1)
+        slopes = np.diff(lifts, axis=-1) / np.diff(ts)
         baer = {d[0]: d for d in run_baer_suite(corrupted_spec).details}
-        _, (anchor, t_ax), violation = axioms["right-translation-monotonicity"]
-        _, (beta, t_baer), step = baer["eta-min-step"]
-        assert violation == pytest.approx(-step, abs=1e-12)
-        assert t_ax == t_baer
-        assert anchor % np.pi == pytest.approx(beta, abs=1e-12)
+        _, (beta, t), least = baer["eta-min-slope"]
+        assert least - 1e-4 <= slopes.min() < 0.0
+        assert 0.0 <= beta < np.pi and 0.0 <= t < TWO_PI
 
 
 class TestBaerSuite:
     def test_example(self, example_spec):
-        res = run_baer_suite(example_spec, 16, 1024)
+        res = run_baer_suite(example_spec, 1024)
         assert res.passed
-        assert res.worst_violation < 1e-12  # only winding roundoff remains
+        assert res.worst_violation == 0.0  # every slope is forward
 
     def test_corrupted(self, corrupted_spec):
-        res = run_baer_suite(corrupted_spec, 16, 1024)
+        res = run_baer_suite(corrupted_spec, 1024)
         assert not res.passed
         assert res.worst_violation > 1e-6
+
+    def test_near_boundary_spec_fails_at_q_min(self):
+        # F = 1, so the least slope is min(1, Q) with Q = 1 + (1 + 1e-4) cos(64 t + phi),
+        # whose minimum -1e-4 falls between the 64 betas of a sampled scan
+        spec = near_boundary_spec(1e-4)
+        res = run_baer_suite(spec)
+        least = {d[0]: d[2] for d in res.details}["eta-min-slope"]
+        assert not res.passed
+        assert least == pytest.approx(-9.53e-5, abs=5e-8)
+        assert least == pytest.approx(check_discriminant(spec.f_inv, spec.g).q_min, abs=1e-12)
+
+    def test_overflowing_weight_reads_as_its_scaled_down_copy(self):
+        # weight a0 = cos_1 = 1e160: F = 1e160 (1 + cos t/2 - sin t/2), and with
+        # g = 0 the slopes read only F'/F, as for a0 = cos_1 = 1, where
+        # Q = (1 + cos t)(1 - sin t) is exactly 0 at pi/2 and pi
+        results = []
+        for scale in (1.0, 1e160):
+            spec = build_loop_spec(FourierSeries(scale, (scale,), (0.0,)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = run_baer_suite(spec)
+            results.append((res.passed, {d[0]: d[2] for d in res.details}["eta-min-slope"]))
+        (passed, least), (big_passed, big_least) = results
+        assert big_passed == passed
+        assert big_least == pytest.approx(least, abs=1e-12)
+
+    def test_vanishing_profile_fails_closed(self):
+        # F = 1 - cos t vanishes at t = 0, a grid angle: the slopes are NaN there
+        spec = build_loop_spec(weight_from_f_inv(FourierSeries(1.0, (-1.0,), (0.0,))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_baer_suite(spec)
+        assert not res.passed
+        assert res.worst_violation == np.inf
 
 
 class TestIsomorphismPair:
