@@ -11,7 +11,6 @@ from .builder import (
     Tolerances,
     ValidationReport,
     build_loop_spec,
-    check_discriminant,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -41,7 +40,6 @@ __all__ = [
     "Tolerances",
     "ValidationReport",
     "build_loop_spec",
-    "check_discriminant",
     "f_inv_from_weight",
     "weight_from_f_inv",
     "integral_inequality_value",

@@ -81,21 +81,6 @@ class Failure:
 
 
 @dataclass(frozen=True)
-class DiscriminantCheck:
-    """The admissibility polynomial Q = g'F + gF' + F^2 - F'^2 on the grid.
-
-    q_min decides (admissible iff > 0).  The discriminant -Q/F^4 is a
-    diagnostic, NaN where F <= 0; initial_slope_margin is Q(0).
-    """
-
-    q_min: float
-    q_argmin: float
-    max_value: float             # grid maximum of the discriminant
-    argmax: float
-    initial_slope_margin: float
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     """Structured outcome of the admissibility check for one spec.
 
@@ -111,7 +96,7 @@ class ValidationReport:
     discriminant_argmax: float
     q_min: float              # grid minimum of the admissibility polynomial Q
     q_argmin: float
-    initial_slope_margin: float
+    initial_slope_margin: float  # Q(0), the grid's first sample
     integral_value: float     # int_0^{2pi} (f_inv^2 - f_inv'^2) dt
     f0_residual: float
     g0_residual: float
@@ -214,51 +199,40 @@ def _q_on_grid(f_inv: FourierSeries, g: FourierSeries, n: int):
     )
 
 
-def check_discriminant(
-    f_inv: FourierSeries, g: FourierSeries, grid_n: int = DEFAULT_GRID
-) -> DiscriminantCheck:
-    """Sample Q = g'F + gF' + F^2 - F'^2 (F = f_inv) on the grid, once.
-
-    Returns its minimum (admissible iff > 0) and where it is attained, the
-    discriminant's maximum and where, and Q(0), the grid's first sample.
-    """
-    n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
-    q, disc = _q_on_grid(f_inv, g, n)
-    q_min, q_argmin = _grid_min(q)
-    neg_max, argmax = _grid_min(-disc)  # the discriminant's maximum, negated
-    return DiscriminantCheck(q_min, q_argmin, -neg_max, argmax, float(q[0]))
-
-
 def _validate(
     f_inv: FourierSeries, g: FourierSeries, grid_n: int, tol: Tolerances
 ) -> ValidationReport:
     """Measure F(0), g(0), min F and min Q once each; each failure names one condition.
 
-    Every comparison is written to fail on NaN.
+    The grid is max(grid_n, `min_grid_points` of F and g) angles, recorded
+    as the report's grid_n: the one grid the spec is sampled on, which
+    suite `baer` reads too.  Every comparison is written to fail on NaN.
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
     f0_res = abs(float(f_inv(0.0)) - 1.0)
     g0_res = abs(float(g(0.0)))
     f_min, f_argmin = _grid_min(f_inv._on_grid(n))
-    disc = check_discriminant(f_inv, g, n)
+    q, disc = _q_on_grid(f_inv, g, n)
+    q_min, q_argmin = _grid_min(q)
+    neg_max, disc_argmax = _grid_min(-disc)  # the discriminant's maximum, negated
     failures = tuple(
         Failure(name, where, value)
         for failed, name, where, value in (
             (not f0_res <= tol.tol_eq, "weight-identity", None, f0_res),
             (not f_min > tol.delta_strict, "profile-positivity", f_argmin, f_min),
             (not g0_res <= tol.tol_eq, "g-boundary", 0.0, g0_res),
-            (not disc.q_min > tol.delta_strict, "discriminant", disc.q_argmin, disc.q_min),
+            (not q_min > tol.delta_strict, "discriminant", q_argmin, q_min),
         )
         if failed
     )
     return ValidationReport(
         f_inv_min=f_min,
         f_inv_argmin=f_argmin,
-        discriminant_max=disc.max_value,
-        discriminant_argmax=disc.argmax,
-        q_min=disc.q_min,
-        q_argmin=disc.q_argmin,
-        initial_slope_margin=disc.initial_slope_margin,
+        discriminant_max=-neg_max,
+        discriminant_argmax=disc_argmax,
+        q_min=q_min,
+        q_argmin=q_argmin,
+        initial_slope_margin=float(q[0]),
         integral_value=integral_inequality_value(f_inv),
         f0_residual=f0_res,
         g0_residual=g0_res,

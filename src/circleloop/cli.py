@@ -8,8 +8,9 @@
     circleloop plot-data SPEC -o OUT.csv
     circleloop check     SPEC --suite NAME [--seed S] [--skip-validation]
 
-Global flags: --grid N (N >= 4) overrides the validation grid, --degrees
-converts angle arguments from degrees on input (output stays in radians),
+Global flags: --grid N (N >= 4) overrides the validation grid, the one
+grid that both the verdict and suite baer read, --degrees converts angle
+arguments from degrees on input (output stays in radians),
 and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|) and --delta-strict
 (the margin F and Q must clear on the grid) override the spec file's
 tolerances.  Angle arguments must be finite.  plot-data writes the
@@ -34,7 +35,7 @@ from .builder import (
     LoopSpec, Tolerances, _q_on_grid, build_loop_spec, subfunction_bound, uniform_grid,
 )
 from .errors import SpecFileError, UnknownSuiteError
-from .fourier import DEFAULT_GRID, TWO_PI
+from .fourier import DEFAULT_GRID, TWO_PI, _float
 from .specfile import load_spec_file
 
 EXIT_OK = 0
@@ -67,11 +68,16 @@ def _build(path: str, options: dict) -> LoopSpec:
     return build_loop_spec(doc.weight, doc.g, grid_n=grid_n, tolerances=tol)
 
 
+def _echo_failures(spec: LoopSpec, err: bool = False) -> None:
+    """One line per failed condition: FAIL name[ at t=where]: value."""
+    for fail in spec.report.failures:
+        where = "" if fail.where is None else f" at t={fail.where:.6f}"
+        click.echo(f"FAIL {fail.condition}{where}: {fail.value:.6g}", err=err)
+
+
 def _require_valid(spec: LoopSpec) -> None:
     if not spec.report.verdict:
-        for fail in spec.report.failures:
-            where = "" if fail.where is None else f" at t={fail.where:.6f}"
-            click.echo(f"FAIL {fail.condition}{where}: {fail.value:.6g}", err=True)
+        _echo_failures(spec, err=True)
         _fail("spec is inadmissible", EXIT_INADMISSIBLE)
 
 
@@ -92,8 +98,7 @@ def _print_operation(ctx: click.Context, spec_path: str, op, x: float, y: float)
 def _snap(angle):
     """Angles closer to 2*pi than the print resolution are the point 0."""
     angle = np.asarray(angle)
-    out = np.where(TWO_PI - angle < 1e-11, 0.0, angle)
-    return out if out.shape else float(out)
+    return _float(np.where(TWO_PI - angle < 1e-11, 0.0, angle))
 
 
 def _report_dict(spec: LoopSpec) -> dict:
@@ -152,9 +157,7 @@ def validate(ctx: click.Context, spec_path: str) -> None:
     click.echo(f"initial slope margin     : {r.initial_slope_margin:.6g}")
     click.echo(f"integral inequality      : {r.integral_value:.6g}")
     click.echo(f"boundary residuals       : |f(0)-1|={r.f0_residual:.3g} |g(0)|={r.g0_residual:.3g}")
-    for fail in r.failures:
-        where = "" if fail.where is None else f" at t={fail.where:.6f}"
-        click.echo(f"FAIL {fail.condition}{where}: {fail.value:.6g}")
+    _echo_failures(spec)
     click.echo(f"verdict                  : {'ADMISSIBLE' if r.verdict else 'INADMISSIBLE'}")
     click.echo(json.dumps(_report_dict(spec)))
     sys.exit(EXIT_OK if r.verdict else EXIT_INADMISSIBLE)

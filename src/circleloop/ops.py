@@ -39,7 +39,7 @@ import numpy as np
 
 from .builder import LoopSpec
 from .errors import InvalidSpecError, RootNotBracketedError
-from .fourier import TWO_PI
+from .fourier import TWO_PI, _float
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
@@ -67,7 +67,7 @@ def _operation(op):
         if finite.all():
             return op(spec, *args)
         out = np.where(finite, op(spec, *(np.where(np.isfinite(a), a, 0.0) for a in args)), np.nan)
-        return out if out.shape else float(out)
+        return _float(out)
 
     return checked
 
@@ -97,7 +97,7 @@ def _mul_unchecked(spec: LoopSpec, s, t):
     s = np.asarray(s, dtype=float)
     fh = spec.f_inv(s)
     ang = _coset_angle(1.0 / fh, spec.g(s), fh, s, np.asarray(t, dtype=float)) % TWO_PI
-    return ang if ang.shape else float(ang)
+    return _float(ang)
 
 
 def _circular_distance(x, y):
@@ -116,7 +116,7 @@ def _ldiv_unchecked(spec: LoopSpec, a, b):
     a = np.asarray(a, dtype=float)
     fh = spec.f_inv(a)
     y = _coset_angle(fh, -spec.g(a), 1.0 / fh, 0.0, np.asarray(b, dtype=float) - a) % TWO_PI
-    return y if y.shape else float(y)
+    return _float(y)
 
 
 @_operation
@@ -149,7 +149,7 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
             f"right division residual {worst:.3e}; the right translation is not "
             "a monotone circle map (inadmissible spec?)"
         )
-    return x if x.shape else float(x)
+    return _float(x)
 
 
 @_operation
@@ -170,4 +170,4 @@ def eta(spec: LoopSpec, w, t):
     value = (_mul_unchecked(spec, tau, beta) - beta) % TWO_PI
     at_end = np.minimum(value, TWO_PI - value) < _SNAP_TOL
     lift = np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value) + TWO_PI * turns
-    return lift if lift.shape else float(lift)
+    return _float(lift)

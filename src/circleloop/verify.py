@@ -1,9 +1,10 @@
 """Aggregated property suites producing machine-readable results.
 
-Each suite is a pure function of the spec, its grid parameters, and (for
-randomized suites) an RNG seed, so results are reproducible.  A suite
-result records the worst violation it saw; `passed` means that violation
-stayed within the suite's tolerance.
+Each suite is a pure function of the spec and, for `oracle`, an RNG
+seed, so results are reproducible.  Suite `baer` reads the spec's own
+grid, the samples its verdict read; the others sample fixed angles.  A
+suite result records the worst violation it saw; `passed` means that
+violation stayed within the suite's tolerance.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import numpy as np
 
 from . import ops
 from .builder import LoopSpec, reflect_spec, subfunction_bound
-from .errors import (
-    InvalidGridError, NonPositiveProfileError, RootNotBracketedError, UnknownSuiteError,
-)
-from .fourier import TWO_PI, _grid_min, min_grid_points
+from .errors import NonPositiveProfileError, RootNotBracketedError, UnknownSuiteError
+from .fourier import TWO_PI, _grid_min
 
 #: default seed for randomized suites, recorded in their results
 DEFAULT_SEED = 20260810
 
 SUITE_NAMES = ("axioms", "baer", "isomorphism", "oracle", "psl2")
+#: angles per axis of the pair grids of suites `axioms` and `isomorphism`
+_PAIR_GRID = 64
+#: random angles of suite `oracle`, besides 0, pi and 2*pi
+_ORACLE_SAMPLES = 48
 
 Detail = tuple[str, object, float]
 
@@ -43,15 +46,14 @@ def _worst(details: list[Detail]) -> float:
     return max((v for _, _, v in details), default=0.0)
 
 
-def _require_points(**sizes: int) -> None:
-    """InvalidGridError naming the first scan grid size below one point."""
-    for name, n in sizes.items():
-        if n < 1:
-            raise InvalidGridError(f"{name} must be at least 1, got {n}")
+def _worst_pair(name: str, xx: np.ndarray, yy: np.ndarray, err: np.ndarray) -> Detail:
+    """The detail of the largest err on a pair grid, located at its (x, y)."""
+    k = int(err.argmax())
+    return (name, (float(xx.ravel()[k]), float(yy.ravel()[k])), float(err.ravel()[k]))
 
 
-def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
-    """Identity laws and division round trips on a grid_n x grid_n grid.
+def run_axiom_suite(spec: LoopSpec) -> SuiteResult:
+    """Identity laws and division round trips on a 64 x 64 grid.
 
     Round trips are recovery checks: ldiv(a, a*y) must return y itself and
     rdiv(x*a, a) must return x itself, which also exercises uniqueness of
@@ -62,11 +64,9 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     A right translation t -> t * a is eta_a shifted by a, so its slope is
     one of the slopes that suite `baer` bounds below over every beta: a
     backward right translation (two left translations carrying the anchor
-    to the same point) is a `baer` failure.  grid_n below 1 raises
-    InvalidGridError.
+    to the same point) is a `baer` failure.
     """
-    _require_points(grid_n=grid_n)
-    angles = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    angles = np.linspace(0.0, TWO_PI, _PAIR_GRID, endpoint=False)
     aa, bb = np.meshgrid(angles, angles, indexing="ij")
     details: list[Detail] = []
 
@@ -77,25 +77,15 @@ def run_axiom_suite(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
     details.append(("identity-right", float(angles[j]), float(right_id[j])))
 
     y = ops._ldiv_unchecked(spec, aa, ops._mul_unchecked(spec, aa, bb))
-    err = ops._circular_distance(y, bb)
-    k = int(err.argmax())
-    details.append(
-        ("ldiv-roundtrip", (float(aa.ravel()[k]), float(bb.ravel()[k])),
-         float(err.ravel()[k]))
-    )
+    details.append(_worst_pair("ldiv-roundtrip", aa, bb, ops._circular_distance(y, bb)))
     try:
         x = ops._rdiv_unchecked(spec, ops._mul_unchecked(spec, aa, bb), bb)
-        err = ops._circular_distance(x, aa)
-        k = int(err.argmax())
-        details.append(
-            ("rdiv-roundtrip", (float(aa.ravel()[k]), float(bb.ravel()[k])),
-             float(err.ravel()[k]))
-        )
+        details.append(_worst_pair("rdiv-roundtrip", aa, bb, ops._circular_distance(x, aa)))
     except RootNotBracketedError:
         details.append(("rdiv-roundtrip", None, float("inf")))
 
     worst = _worst(details)
-    cases = 2 * grid_n + 2 * grid_n * grid_n
+    cases = 2 * _PAIR_GRID + 2 * _PAIR_GRID**2
     return SuiteResult("axioms", worst <= 1e-9, cases, worst, 1e-9, tuple(details))
 
 
@@ -114,7 +104,7 @@ def _least_eta_slope(spec: LoopSpec, n: int):
         return r, m, (1.0 + m - r * r) / (1.0 + 0.5 * m + np.hypot(0.5 * m, r))
 
 
-def run_baer_suite(spec: LoopSpec, t_grid: int = 4096) -> SuiteResult:
+def run_baer_suite(spec: LoopSpec) -> SuiteResult:
     """Strict monotonicity of every eta_beta, decided over all beta at once.
 
     eta_beta(t) is t - beta plus the polar angle of the coset column
@@ -132,20 +122,22 @@ def run_baer_suite(spec: LoopSpec, t_grid: int = 4096) -> SuiteResult:
     eigenvector, beta* the angle of A^-1 c in [0, pi) (conjugation by
     rot(beta) and rot(beta + pi) agree).  As d = Q/F^2, with Q the
     admissibility polynomial of the verdict, the least slope has the sign
-    of Q wherever F does not vanish: the suite and the verdict agree in
-    sign by an identity reached by two derivations.  Where F > 0 on the
-    circle every eta_beta has degree one, since beta -> eta_beta is a
-    homotopy from eta_0(t) = t through maps whose columns never vanish.
+    of Q wherever F does not vanish.  Where F > 0 on the circle every
+    eta_beta has degree one, since beta -> eta_beta is a homotopy from
+    eta_0(t) = t through maps whose columns never vanish.
 
-    The least slope is read on the uniform grid of
-    max(t_grid, `min_grid_points` of F and g) angles; `passed` means it is
-    positive at every one.  Where F vanishes on the grid the slope is NaN
-    or infinite and the suite fails with an infinite violation.  Does not
-    require a valid spec: this is the check that exposes a corrupted one.
-    t_grid below 1 raises InvalidGridError.
+    The least slope is read on the verdict's grid, the report's grid_n
+    angles, from the cached samples of F, F', g and g' that the verdict
+    read.  So the suite and the verdict measure one quantity at the same
+    samples, on whatever grid the spec was built, and the sign agreement
+    is exact there: where F > 0 on the grid, the least slope is positive
+    at every angle exactly when the report's q_min > 0 (short of a Q
+    within rounding of 0).  `passed` means it is positive at every angle.  Where F
+    vanishes on the grid the slope is NaN or infinite and the suite fails
+    with an infinite violation.  Does not require a valid spec: this is
+    the check that exposes a corrupted one.
     """
-    _require_points(t_grid=t_grid)
-    n = max(t_grid, min_grid_points(spec.f_inv), min_grid_points(spec.g))
+    n = spec.report.grid_n
     r, m, slope = _least_eta_slope(spec, n)
     low, t = _grid_min(slope)
     j = int(slope.argmin())
@@ -162,33 +154,28 @@ def run_baer_suite(spec: LoopSpec, t_grid: int = 4096) -> SuiteResult:
     return SuiteResult("baer", finite and low > 0.0, n, backward, 0.0, details)
 
 
-def check_isomorphism_pair(spec: LoopSpec, grid_n: int = 64) -> SuiteResult:
+def check_isomorphism_pair(spec: LoopSpec) -> SuiteResult:
     """Verify that angle negation intertwines a spec with its mirror.
 
     With phi(t) = -t mod 2*pi and spec' the mirror (f(-t), -g(-t)), checks
-    mul'(phi(s), phi(t)) = phi(mul(s, t)) on a grid.  A pass is evidence
-    that the two specs give isomorphic loops (they are expected to be the
-    only members of their isomorphism class); a fail rejects the candidate
-    intertwiner and is reported, not silently resolved.  grid_n below 1
-    raises InvalidGridError.
+    mul'(phi(s), phi(t)) = phi(mul(s, t)) on a 64 x 64 grid.  A pass is
+    evidence that the two specs give isomorphic loops (they are expected
+    to be the only members of their isomorphism class); a fail rejects the
+    candidate intertwiner and is reported, not silently resolved.
     """
-    _require_points(grid_n=grid_n)
     mirror = reflect_spec(spec)
-    angles = np.linspace(0.0, TWO_PI, grid_n, endpoint=False)
+    angles = np.linspace(0.0, TWO_PI, _PAIR_GRID, endpoint=False)
     ss, tt = np.meshgrid(angles, angles, indexing="ij")
     phi = lambda x: (-np.asarray(x)) % TWO_PI
     lhs = ops._mul_unchecked(mirror, phi(ss), phi(tt))
     rhs = phi(ops._mul_unchecked(spec, ss, tt))
-    err = ops._circular_distance(lhs, rhs)
-    k = int(err.argmax())
     details = (
-        ("intertwiner", (float(ss.ravel()[k]), float(tt.ravel()[k])),
-         float(err.ravel()[k])),
+        _worst_pair("intertwiner", ss, tt, ops._circular_distance(lhs, rhs)),
         ("mirror-verdict", None, 0.0 if mirror.report.verdict else float("inf")),
     )
     worst = _worst(list(details))
     return SuiteResult(
-        "isomorphism", worst <= 1e-8, grid_n * grid_n, worst, 1e-8, details
+        "isomorphism", worst <= 1e-8, _PAIR_GRID**2, worst, 1e-8, details
     )
 
 
@@ -217,10 +204,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def oracle_crosscheck_suite(
-    spec: LoopSpec, seed: int = DEFAULT_SEED, samples: int = 48
-) -> SuiteResult:
-    """Closed forms vs Gauss–Legendre quadrature at randomly sampled angles.
+def oracle_crosscheck_suite(spec: LoopSpec, seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Closed forms vs Gauss–Legendre quadrature at 0, pi, 2*pi and 48 random angles.
 
     Checks, each at 1e-8: the profile against its defining formula
     e^t (1 - int_0^t weight(u) e^-u du), and the comparison bound h against
@@ -236,12 +221,10 @@ def oracle_crosscheck_suite(
     So only rounding remains: against 1200 nodes, at most 1e-10 after the
     e^t amplification and 6e-14 on the energy integral for K <= 128,
     where n = 2K + 16 leaves energy errors up to 5e-4.  A t of 0 gets only
-    the bound's check, h(0) = 0; samples below 0 raise InvalidGridError.
+    the bound's check, h(0) = 0.
     """
-    if samples < 0:
-        raise InvalidGridError(f"samples must be at least 0, got {samples}")
     rng = np.random.default_rng(seed)
-    ts = np.concatenate(([0.0, np.pi, TWO_PI], rng.uniform(0.0, TWO_PI, samples)))
+    ts = np.concatenate(([0.0, np.pi, TWO_PI], rng.uniform(0.0, TWO_PI, _ORACLE_SAMPLES)))
     weight, f_inv = spec.weight, spec.f_inv
     nodes, weights = _gauss_legendre(4 * weight.harmonics + 32)
     half = 0.5 * ts

@@ -133,7 +133,7 @@ def test_criterion_5_sharp_transitivity(
     trivial_spec, example_spec, shear_spec, even_spec, corrupted_spec
 ):
     def least_slope(spec):
-        res = run_baer_suite(spec, 4096)
+        res = run_baer_suite(spec)
         return res, {name: (where, value) for name, where, value in res.details}["eta-min-slope"]
 
     ok = True
@@ -187,10 +187,10 @@ def test_criterion_7_reflection_and_isomorphism(
         for s in fixtures
     )
     preserved = all(reflect_spec(s).report.verdict == s.report.verdict for s in fixtures)
-    triv = check_isomorphism_pair(trivial_spec, 64)
+    triv = check_isomorphism_pair(trivial_spec)
     evidence = []
     for name, spec in (("example", example_spec), ("shear", shear_spec), ("even", even_spec)):
-        res = check_isomorphism_pair(spec, 64)
+        res = check_isomorphism_pair(spec)
         evidence.append(f"{name}:{'pass' if res.passed else 'FAIL'}@{res.worst_violation:.1e}")
     _report(
         7,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from circleloop import (
     FourierSeries,
     build_loop_spec,
-    check_discriminant,
     f_inv_from_weight,
     integral_inequality_value,
     reflect_spec,
@@ -127,30 +126,28 @@ class TestSubfunctionBound:
 
 class TestDiscriminant:
     def test_trivial_is_minus_one(self):
-        check = check_discriminant(FourierSeries(1.0), FourierSeries(0.0), 512)
-        assert check.max_value == pytest.approx(-1.0, abs=1e-15)
-        assert check.initial_slope_margin == pytest.approx(1.0)
+        r = build_loop_spec(FourierSeries(1.0), grid_n=512).report
+        assert r.discriminant_max == pytest.approx(-1.0, abs=1e-15)
+        assert r.initial_slope_margin == pytest.approx(1.0)
 
     def test_example_matches_dense_direct_formula(self):
-        f_inv = f_inv_from_weight(EXAMPLE_WEIGHT)
-        check = check_discriminant(f_inv, FourierSeries(0.0), 4096)
-        assert check.max_value < 0
+        r = build_loop_spec(EXAMPLE_WEIGHT, grid_n=4096).report
+        assert r.discriminant_max < 0
         # independent dense evaluation of (f_inv'^2 - f_inv^2)/f_inv^4
         ts = np.linspace(0, TWO_PI, 1_000_001)
         fh = 0.9 + 0.1 * np.cos(ts) - 0.1 * np.sin(ts)
         fhp = -0.1 * np.sin(ts) - 0.1 * np.cos(ts)
         dense = np.max((fhp**2 - fh**2) / fh**4)
-        assert check.max_value == pytest.approx(dense, abs=1e-9)
+        assert r.discriminant_max == pytest.approx(dense, abs=1e-9)
 
     def test_initial_slope_violation(self):
         # steeply decreasing shear at the identity: g'(0) = -2 is not > -1
         g = FourierSeries(0.0, (0.0,), (-2.0,))
-        check = check_discriminant(FourierSeries(1.0), g, 512)
-        assert check.initial_slope_margin == pytest.approx(-1.0)
-        spec = build_loop_spec(FourierSeries(1.0), g)
-        assert not spec.report.verdict
+        r = build_loop_spec(FourierSeries(1.0), g, grid_n=512).report
+        assert r.initial_slope_margin == pytest.approx(-1.0)
+        assert not r.verdict
         # Q(0) is the initial-slope margin, so the discriminant condition decides
-        assert "discriminant" in {f.condition for f in spec.report.failures}
+        assert "discriminant" in {f.condition for f in r.failures}
 
     def test_sign_matches_quadratic_positivity(self):
         # the discriminant condition is exactly positivity of the
@@ -169,7 +166,6 @@ class TestDiscriminant:
             gcos = tuple(scale * rng.normal(0, 0.05, k))
             g = FourierSeries(solve_g_const(gcos), gcos, tuple(scale * rng.normal(0, 0.05, k)))
             spec = build_loop_spec(w, g, grid_n=n)
-            check = check_discriminant(spec.f_inv, g, n)
             # include the per-t minimizing w, which makes the sampling sharp
             fh = spec.f_inv(ts)
             f, fp = 1.0 / fh, -spec.f_inv.derivative_at(ts) / fh**2
@@ -182,7 +178,7 @@ class TestDiscriminant:
                 min(float(np.min(transitivity_quadratic(spec, wv, ts))) for wv in w_base),
                 float(np.min(transitivity_quadratic(spec, w_crit, ts))),
             )
-            agreements += (check.max_value < 0) == (quad_min > 0)
+            agreements += (spec.report.discriminant_max < 0) == (quad_min > 0)
         assert agreements == 200
 
 
@@ -233,10 +229,11 @@ class TestAdmissibilityPolynomial:
         q, _ = _admissibility_q(*grid_samples(f_inv, g, n))
         tol = 1e-12 * coefficient_size(exact)
         assert np.all(np.abs(q - exact(uniform_grid(n))) <= tol)
-        check = check_discriminant(f_inv, g, n)
-        assert check.q_min == q.min()
-        assert check.q_argmin == uniform_grid(n)[q.argmin()]
-        assert abs(check.initial_slope_margin - exact(0.0)) <= tol
+        r = build_loop_spec(weight, g, grid_n=n).report
+        assert r.grid_n == n
+        assert r.q_min == q.min()
+        assert r.q_argmin == uniform_grid(n)[q.argmin()]
+        assert abs(r.initial_slope_margin - exact(0.0)) <= tol
 
     @Q_PROPERTY
     @given(k=Q_DEGREES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 0.5, 3.0]))
@@ -278,17 +275,17 @@ class TestGAdmissible:
         margin = g_bound_margin(FourierSeries(1.0), FourierSeries(0.0), 4096)
         # g == 0 and h(t) = t, so the margin is h at the first interior grid point
         assert margin == pytest.approx(TWO_PI / 4096, abs=1e-12)
-        disc = check_discriminant(FourierSeries(1.0), FourierSeries(0.0), 4096)
-        assert disc.max_value == pytest.approx(-1.0)
+        r = build_loop_spec(FourierSeries(1.0), grid_n=4096).report
+        assert r.discriminant_max == pytest.approx(-1.0)
 
     def test_marginal_shear_decided_by_discriminant(self):
         # g = -(1 - cos t) satisfies the comparison bound near 0 but its
         # discriminant maximum touches 0, so it is not strictly admissible
         g = FourierSeries(-1.0, (1.0,), (0.0,))
         assert g_bound_margin(FourierSeries(1.0), g, 4096) > 0
-        disc = check_discriminant(FourierSeries(1.0), g, 4096)
-        assert disc.max_value == pytest.approx(0.0, abs=1e-6)
-        assert not build_loop_spec(FourierSeries(1.0), g).report.verdict
+        r = build_loop_spec(FourierSeries(1.0), g, grid_n=4096).report
+        assert r.discriminant_max == pytest.approx(0.0, abs=1e-6)
+        assert not r.verdict
 
 
 class TestIntegralInequality:

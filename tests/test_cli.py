@@ -342,6 +342,13 @@ class TestCheck:
         res = run_cli("check", spec, "--suite", "axioms", "--skip-validation")
         assert res.returncode == 3
 
+    def test_grid_flag_sets_the_baer_grid(self):
+        # --grid sets the one grid both the verdict and suite baer read
+        res = run_cli("--grid", "64", "check", "--skip-validation", "--suite", "baer",
+                      str(SPECS / "corrupted.json"))
+        assert res.returncode == 3
+        assert "FAIL baer: cases=64 " in res.stdout
+
     def test_near_boundary_spec_fails_baer_with_skip(self, tmp_path):
         # Q = 1 + (1 + 1e-4) cos(64 t + pi/1024) dips to -1e-4 between sampled betas
         spec = near_boundary_spec(1e-4)

@@ -19,7 +19,7 @@ from circleloop import (
     solve_g_const,
     weight_from_f_inv,
 )
-from circleloop.errors import InvalidGridError, InvalidSpecError, RootNotBracketedError
+from circleloop.errors import InvalidSpecError, RootNotBracketedError
 from circleloop.ops import (
     _coset_angle,
     _ldiv_unchecked,
@@ -27,9 +27,8 @@ from circleloop.ops import (
     _rdiv_unchecked,
 )
 from circleloop.builder import _q_on_grid
-from circleloop.fourier import min_grid_points
 from circleloop.specfile import load_spec_file
-from circleloop.verify import _least_eta_slope, run_axiom_suite, run_baer_suite
+from circleloop.verify import _least_eta_slope, run_baer_suite
 
 from conftest import circ_dist, random_admissible_spec
 from matrix_oracle import (
@@ -85,15 +84,15 @@ def shaped_spec(rng, k: int, f_min: float, g_max: float):
     )
 
 
-def baer_details(spec, t_grid: int = 4096):
+def baer_details(spec):
     """Suite `baer` on spec, and its details by name as (where, value)."""
-    res = run_baer_suite(spec, t_grid)
+    res = run_baer_suite(spec)
     return res, {name: (where, value) for name, where, value in res.details}
 
 
 def least_slope_on_grid(spec):
     """The grid suite `baer` reads, and r, m and the least eta slope on it."""
-    n = max(4096, min_grid_points(spec.f_inv), min_grid_points(spec.g))
+    n = spec.report.grid_n
     return n, *_least_eta_slope(spec, n)
 
 
@@ -449,6 +448,17 @@ class TestLeastEtaSlope:
         _, details = baer_details(spec)
         assert abs(dense - details["eta-min-slope"][1]) <= 1e-4
 
+    @pytest.mark.parametrize("grid_n", [64, 4096])
+    @pytest.mark.parametrize("name", SPEC_FILES)
+    def test_sign_is_the_sign_of_q_min(self, name, grid_n):
+        # baer reads the samples the verdict read, so on any grid its least
+        # slope is positive exactly when the verdict's Q minimum is
+        doc = load_spec_file(SPEC_DIR / name)
+        spec = build_loop_spec(doc.weight, doc.g, grid_n=grid_n)
+        res, details = baer_details(spec)
+        assert res.cases_run == spec.report.grid_n
+        assert (details["eta-min-slope"][1] > 0) == (spec.report.q_min > 0)
+
     @pytest.mark.parametrize("name", SPEC_FILES + ["k64"])
     def test_sign_of_transitivity_quadratic_minimum(self, name):
         spec = spec_from_file(name)
@@ -567,7 +577,7 @@ class TestTransversalCheck:
     """The least eta slope as suite `baer` reads it, detail by detail."""
 
     def test_trivial_maximal_margins(self, trivial_spec):
-        res, details = baer_details(trivial_spec, 1024)
+        res, details = baer_details(trivial_spec)
         assert res.passed
         # eta_beta == identity, so every slope is exactly 1
         assert details["eta-min-slope"][1] == 1.0
@@ -590,14 +600,3 @@ class TestTransversalCheck:
         w = float(np.tan(beta)) if abs(beta - np.pi / 2) > 1e-9 else 1e12
         ts = np.linspace(0, TWO_PI, 2049)
         assert np.min(transitivity_quadratic(corrupted_spec, w, ts)) < 0
-
-    @pytest.mark.parametrize(
-        "scan, name",
-        [
-            (lambda spec: run_baer_suite(spec, 0), "t_grid"),
-            (lambda spec: run_axiom_suite(spec, 0), "grid_n"),
-        ],
-    )
-    def test_empty_grid_is_invalid(self, example_spec, scan, name):
-        with pytest.raises(InvalidGridError, match=name):
-            scan(example_spec)
