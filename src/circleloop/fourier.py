@@ -16,8 +16,11 @@ s^2 - s'^2) is built once per series, and every series is read by one of
 two paths: at arbitrary points, Horner's rule in real arithmetic on
 (cos t, sin t), one sincos per point and then O(K) multiply-adds; on the
 uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2 and
-kept per n.  No coefficient is ever estimated from samples, and
-`_grid_min` is the one reading of a grid's minimum and its angle.
+kept per n.  The sincos is taken apart from the recurrence: `__call__`
+takes it, and `_at` reads a series at a sincos already taken, so the
+series of one loop operation share one sincos per angle.  No coefficient
+is ever estimated from samples, and `_grid_min` is the one reading of a
+grid's minimum and its angle.
 
 A weight series w generates the reciprocal profile
 F(t) = e^t (1 - int_0^t w(u) e^-u du).  The profile series P, which keeps
@@ -51,19 +54,20 @@ DELTA_STRICT = 1e-9
 DEFAULT_GRID = 4096
 
 
-def _horner(terms: list, t):
-    """Re sum_{k>=1} terms[k-1] e^{ikt} at arbitrary t, by Horner's rule in real arithmetic.
-
-    One sincos per point, then O(K) multiply-adds.  A float array for an
-    array t, a Python float for a 0-d t, and zeros without a sincos when
-    there are no terms.
-    """
-    t = np.asarray(t, dtype=float)
-    if not terms:
-        return np.zeros(t.shape) if t.shape else 0.0
+def _sincos(t: np.ndarray):
+    """cos t and sin t of a float array t: arrays, or Python floats for a 0-d t."""
     c, s = np.cos(t), np.sin(t)
-    if not t.shape:
-        c, s = float(c), float(s)
+    return (c, s) if t.shape else (float(c), float(s))
+
+
+def _horner(terms: list, c, s):
+    """Re sum_{k>=1} terms[k-1] e^{ikt} from c = cos t and s = sin t, by Horner's rule in real arithmetic.
+
+    O(K) multiply-adds per point; zeros of the shape of c when there are
+    no terms.
+    """
+    if not terms:
+        return np.zeros(np.shape(c)) if np.ndim(c) else 0.0
     re, im = terms[-1].real, terms[-1].imag
     for q in terms[-2::-1]:
         re, im = re * c - im * s + q.real, re * s + im * c + q.imag
@@ -171,7 +175,12 @@ class FourierSeries:
 
     def __call__(self, t):
         """Evaluate at t (scalar or array, radians)."""
-        return self.a0 + _horner(self._value_terms, t)
+        return self.a0 + _horner(self._value_terms, *_sincos(np.asarray(t, dtype=float)))
+
+    def _at(self, c, s):
+        """`__call__` at the angles t with c = cos t and s = sin t, taken by
+        the caller: the loop operations share one sincos between series."""
+        return self.a0 + _horner(self._value_terms, c, s)
 
     def derivative_at(self, t):
         """Evaluate the derivative sum k(-cos_k sin kt + sin_k cos kt) at t."""

@@ -18,8 +18,12 @@ the coset angle of sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with
 U^-1 = [[f_inv, -g], [0, f]].  Right division is solved by bisection on
 the monotone lift of the right translation.
 
-`_coset_angle` gives the coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y);
-multiplication and left division are each one call of it.
+`_coset_angle` gives the coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y)
+from the cos and sin of x and y; multiplication and left division are
+each one call of it.  Every operation takes the sincos of each angle once
+and shares it: the product reads F, g and rot(s) from one sincos of s
+(`FourierSeries._at`), and right division takes that of its fixed right
+factor once for all its bisection steps (`_mul_at`).
 
 For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
@@ -34,12 +38,13 @@ its lift at t is its value on the turn of t plus 2*pi per whole turn.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .builder import LoopSpec
 from .errors import InvalidSpecError, RootNotBracketedError
-from .fourier import TWO_PI, _float
+from .fourier import TWO_PI, _float, _sincos
 
 #: residual above which a division result is rejected as unbracketed
 _DIV_RESIDUAL_LIMIT = 1e-6
@@ -55,7 +60,8 @@ def _operation(op):
 
     The spec must have passed validation, else InvalidSpecError.  A point
     where an argument is nan or +-inf gives NaN, without a warning: the
-    operation runs with 0 there, and those points are masked after.
+    operation runs with 0 there, and those points are masked after.  Finite
+    float arguments skip the array test.
     """
 
     @functools.wraps(op)
@@ -63,6 +69,8 @@ def _operation(op):
         if not spec.report.verdict:
             names = ", ".join(f.condition for f in spec.report.failures) or "unknown"
             raise InvalidSpecError(f"spec failed validation ({names})")
+        if all(isinstance(a, float) and math.isfinite(a) for a in args):
+            return op(spec, *args)
         finite = functools.reduce(np.logical_and, map(np.isfinite, args))
         if finite.all():
             return op(spec, *args)
@@ -72,8 +80,9 @@ def _operation(op):
     return checked
 
 
-def _coset_angle(p, q, r, x, y):
-    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi].
+def _coset_angle(p, q, r, cx, sx, cy, sy):
+    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi], from
+    cx, sx = cos x, sin x and cy, sy = cos y, sin y.
 
     The first column of [[p, q], [0, r]] @ rot(y) is
     (p cos y - q sin y, -r sin y); with rot clockwise, its coset angle is
@@ -81,9 +90,7 @@ def _coset_angle(p, q, r, x, y):
     column is rotated by x in matrix form, which stays smooth where a
     tan-quotient formula has poles.
     """
-    cy, sy = np.cos(y), np.sin(y)
     radial, rs = p * cy - q * sy, r * sy
-    cx, sx = np.cos(x), np.sin(x)
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
 
@@ -94,10 +101,14 @@ def mul(spec: LoopSpec, s, t):
 
 
 def _mul_unchecked(spec: LoopSpec, s, t):
-    s = np.asarray(s, dtype=float)
-    fh = spec.f_inv(s)
-    ang = _coset_angle(1.0 / fh, spec.g(s), fh, s, np.asarray(t, dtype=float)) % TWO_PI
-    return _float(ang)
+    return _mul_at(spec, s, *_sincos(np.asarray(t, dtype=float)))
+
+
+def _mul_at(spec: LoopSpec, s, ct, st):
+    """s * t from ct, st = cos t, sin t; one sincos of s serves F, g and rot(s)."""
+    cs, ss = _sincos(np.asarray(s, dtype=float))
+    fh = spec.f_inv._at(cs, ss)
+    return _float(_coset_angle(1.0 / fh, spec.g._at(cs, ss), fh, cs, ss, ct, st) % TWO_PI)
 
 
 def _circular_distance(x, y):
@@ -112,11 +123,13 @@ def ldiv(spec: LoopSpec, a, b):
 
 
 def _ldiv_unchecked(spec: LoopSpec, a, b):
-    # sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with U(a)^-1 = [[f_inv, -g], [0, f]]
+    # sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with U(a)^-1 = [[f_inv, -g], [0, f]];
+    # the left rotation is rot(0), whose cos and sin are the constants 1 and 0
     a = np.asarray(a, dtype=float)
-    fh = spec.f_inv(a)
-    y = _coset_angle(fh, -spec.g(a), 1.0 / fh, 0.0, np.asarray(b, dtype=float) - a) % TWO_PI
-    return _float(y)
+    ca, sa = _sincos(a)
+    fh = spec.f_inv._at(ca, sa)
+    cy, sy = _sincos(np.asarray(b, dtype=float) - a)
+    return _float(_coset_angle(fh, -spec.g._at(ca, sa), 1.0 / fh, 1.0, 0.0, cy, sy) % TWO_PI)
 
 
 @_operation
@@ -133,16 +146,17 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     fails on NaN, catches a spec whose right translation is not monotone.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    ca, sa = _sincos(a)
     target = (b - a) % TWO_PI
     lo = np.zeros(target.shape)
     hi = np.full(target.shape, TWO_PI)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        go_right = (_mul_unchecked(spec, mid, a) - a) % TWO_PI < target
+        go_right = (_mul_at(spec, mid, ca, sa) - a) % TWO_PI < target
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
     x = (0.5 * (lo + hi)) % TWO_PI
-    residual = _circular_distance(_mul_unchecked(spec, x, a), b)
+    residual = _circular_distance(_mul_at(spec, x, ca, sa), b)
     if not np.all(residual <= _DIV_RESIDUAL_LIMIT):
         worst = float(np.max(residual))
         raise RootNotBracketedError(

@@ -76,10 +76,11 @@ def run_axiom_suite(spec: LoopSpec) -> SuiteResult:
     details.append(("identity-left", float(angles[i]), float(left_id[i])))
     details.append(("identity-right", float(angles[j]), float(right_id[j])))
 
-    y = ops._ldiv_unchecked(spec, aa, ops._mul_unchecked(spec, aa, bb))
+    products = ops._mul_unchecked(spec, aa, bb)
+    y = ops._ldiv_unchecked(spec, aa, products)
     details.append(_worst_pair("ldiv-roundtrip", aa, bb, ops._circular_distance(y, bb)))
     try:
-        x = ops._rdiv_unchecked(spec, ops._mul_unchecked(spec, aa, bb), bb)
+        x = ops._rdiv_unchecked(spec, products, bb)
         details.append(_worst_pair("rdiv-roundtrip", aa, bb, ops._circular_distance(x, aa)))
     except RootNotBracketedError:
         details.append(("rdiv-roundtrip", None, float("inf")))

@@ -3,7 +3,12 @@
 The package computes a product's coset angle from one coset-column
 formula (`ops._coset_angle`) and decides transitivity by the
 admissibility polynomial Q (`builder._admissibility_q`).  The tests check
-both against the older, separate routes kept here.
+both against the older, separate routes kept here.  `coset_angle`,
+`product_angle`, `ldiv_angle` and `bisection_rdiv` are the operations
+composed from angles, every series read through the public
+`FourierSeries.__call__` with its own sincos: the package shares one
+sincos per angle instead, with the same arithmetic, so they agree bit for
+bit.
 
 Matrices are plain 2x2 numpy arrays.  The group splits (uniquely) as a
 rotation times a positive-diagonal upper-triangular matrix,
@@ -140,6 +145,50 @@ def section(spec, t: float) -> SectionPoint:
 def _section_matrix(spec, t) -> np.ndarray:
     fh = spec.f_inv(t)
     return rot(t) @ np.array([[1.0 / fh, spec.g(t)], [0.0, fh]])
+
+
+def coset_angle(p, q, r, x, y):
+    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y) from the angles x
+    and y, each sincos taken where it is used: the coset column
+    (p cos y - q sin y, r sin y) rotated by x."""
+    cy, sy = np.cos(y), np.sin(y)
+    radial, rs = p * cy - q * sy, r * sy
+    cx, sx = np.cos(x), np.sin(x)
+    return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
+
+
+def _angle(x):
+    x = x % TWO_PI
+    return x if np.ndim(x) else float(x)
+
+
+def product_angle(spec, s, t):
+    """s * t in [0, 2*pi) from the public series evaluation: F(s) and g(s),
+    then the coset angle of sigma(s) @ rot(t) at the angles s and t."""
+    s = np.asarray(s, dtype=float)
+    fh = spec.f_inv(s)
+    return _angle(coset_angle(1.0 / fh, spec.g(s), fh, s, np.asarray(t, dtype=float)))
+
+
+def ldiv_angle(spec, a, b):
+    """a \\ b in [0, 2*pi): the coset angle of U(a)^-1 @ rot(b - a), from
+    the public series evaluation."""
+    a = np.asarray(a, dtype=float)
+    fh = spec.f_inv(a)
+    return _angle(coset_angle(fh, -spec.g(a), 1.0 / fh, 0.0, np.asarray(b, dtype=float) - a))
+
+
+def bisection_rdiv(spec, b, a, steps: int = 51):
+    """b / a by `steps` halvings of [0, 2*pi] on the lift of x -> x * a - a,
+    each product by `product_angle`; no residual check."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    target = (b - a) % TWO_PI
+    lo, hi = np.zeros(target.shape), np.full(target.shape, TWO_PI)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        go_right = (product_angle(spec, mid, a) - a) % TWO_PI < target
+        lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
+    return _angle(0.5 * (lo + hi))
 
 
 def transitivity_quadratic(spec, w, t):

@@ -21,21 +21,25 @@ from circleloop import (
 )
 from circleloop.errors import InvalidSpecError, RootNotBracketedError
 from circleloop.ops import (
-    _coset_angle,
     _ldiv_unchecked,
     _mul_unchecked,
     _rdiv_unchecked,
 )
 from circleloop.builder import _q_on_grid
+from circleloop.fourier import _sincos
 from circleloop.specfile import load_spec_file
 from circleloop.verify import _least_eta_slope, run_baer_suite
 
 from conftest import circ_dist, random_admissible_spec
 from matrix_oracle import (
     angle_of,
+    bisection_rdiv,
+    coset_angle,
     det,
     eta_derivative_expr,
     kh_decompose,
+    ldiv_angle,
+    product_angle,
     rot,
     section,
     transitivity_quadratic,
@@ -129,7 +133,7 @@ def reference_translation_steps(spec, anchors, ts, translation: str):
     else:
         u, x, y = ts, ts - anchors, anchors
     fh = spec.f_inv(u)
-    return np.diff(np.unwrap(_coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1), axis=-1)
+    return np.diff(np.unwrap(coset_angle(1.0 / fh, spec.g(u), fh, x, y), axis=-1), axis=-1)
 
 
 def left_translation_steps(spec, anchors, ts) -> np.ndarray:
@@ -289,7 +293,8 @@ class TestDivisions:
     def test_rdiv_residual_check_fails_on_nan(self, example_spec, monkeypatch):
         from circleloop import ops
 
-        monkeypatch.setattr(ops, "_mul_unchecked", lambda spec, s, t: np.full(np.shape(s), np.nan))
+        # the bisection's product kernel, which takes the right factor's sincos
+        monkeypatch.setattr(ops, "_mul_at", lambda spec, s, ct, st: np.full(np.shape(s), np.nan))
         with pytest.raises(RootNotBracketedError):
             _rdiv_unchecked(example_spec, 2.0, 1.0)
 
@@ -299,6 +304,63 @@ class TestDivisions:
             ldiv(bad, 1.0, 2.0)
         with pytest.raises(InvalidSpecError):
             rdiv(bad, 2.0, 1.0)
+
+
+def same_bits(x, y) -> bool:
+    """x and y are of one type and hold the same doubles, bit for bit."""
+    return type(x) is type(y) and np.array_equal(
+        np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64)
+    )
+
+
+def operand_pairs(rng, n: int):
+    """Scalar pairs, scalars against arrays, arrays and a meshgrid: every
+    shape the operations meet, with angles outside [0, 2*pi) too."""
+    s, t = rng.uniform(-1.0, 7.5, (2, n))
+    grid = np.linspace(0.0, TWO_PI, 16, endpoint=False)
+    aa, bb = np.meshgrid(grid, grid, indexing="ij")
+    scalars = [(float(x), float(y)) for x, y in zip(s[:8], t[:8])]
+    return scalars + [(0.0, 0.0), (np.pi, TWO_PI), (float(s[0]), t), (s, float(t[0])), (s, t), (aa, bb)]
+
+
+def assert_operations_match_composition(spec, rng, n: int = 500):
+    """mul, ldiv and rdiv, gated and unchecked, equal the operations composed
+    from `FourierSeries.__call__` bit for bit; each series' `_at` equals its
+    `__call__` at the same angles."""
+    for s, t in operand_pairs(rng, n):
+        assert same_bits(_mul_unchecked(spec, s, t), product_angle(spec, s, t))
+        assert same_bits(_ldiv_unchecked(spec, s, t), ldiv_angle(spec, s, t))
+        if spec.verdict:
+            assert same_bits(mul(spec, s, t), product_angle(spec, s, t))
+            assert same_bits(ldiv(spec, s, t), ldiv_angle(spec, s, t))
+            assert same_bits(rdiv(spec, s, t), bisection_rdiv(spec, s, t))
+            assert same_bits(_rdiv_unchecked(spec, s, t), bisection_rdiv(spec, s, t))
+    ts = rng.uniform(-1.0, 7.5, n)
+    for series in (spec.f_inv, spec.g, spec.f_inv.derivative(), FourierSeries(0.3)):
+        for t in (ts, float(ts[0]), 0.0):
+            assert same_bits(series._at(*_sincos(np.asarray(t))), series(t))
+
+
+class TestSharedSincos:
+    """One sincos per angle, shared by the series and rotations of an
+    operation, changes no bit of its result."""
+
+    @pytest.mark.parametrize("name", SPEC_FILES + ["k64"])
+    def test_fixtures_match_composition(self, name):
+        assert_operations_match_composition(spec_from_file(name), np.random.default_rng(83))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_k=st.sampled_from([1, 2, 4]))
+    def test_small_k_specs_match_composition(self, seed, max_k):
+        rng = np.random.default_rng(seed)
+        assert_operations_match_composition(random_admissible_spec(rng, max_k), rng, 64)
+
+    def test_rdiv_keeps_its_bisection(self, example_spec):
+        # 50 halvings of the reference land elsewhere: the step count is pinned
+        rng = np.random.default_rng(89)
+        b, a = rng.uniform(0.0, TWO_PI, (2, 256))
+        assert same_bits(rdiv(example_spec, b, a), bisection_rdiv(example_spec, b, a))
+        assert not same_bits(rdiv(example_spec, b, a), bisection_rdiv(example_spec, b, a, 50))
 
 
 class TestEta:
