@@ -22,8 +22,10 @@ F^4 is minus the admissibility polynomial
     Q = (gF)' + F^2 - F'^2 = g'F + gF' + F^2 - F'^2,
 
 a trigonometric polynomial of degree max(K_F + K_g, 2 K_F), so the
-verdict needs no division by F.  It is four conditions, each measured
-once on the build grid and named by its failure:
+verdict needs no division by F.  Q is one series with exact coefficients,
+`FourierSeries._admissibility`, built once per pair (F, g) and read, as F
+is, by one inverse FFT per grid.  The verdict is four conditions, each
+measured once on the build grid and named by its failure:
 
     F(0) = 1  (weight-identity),      g(0) = 0  (g-boundary),
     F > 0     (profile-positivity),   Q > 0     (discriminant).
@@ -181,22 +183,18 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     return f_inv._energy.integral_from_zero(t) / f_inv(t)
 
 
-def _admissibility_q(fh, fhp, g, gp):
-    """Q = g'F + gF' + F^2 - F'^2 and the discriminant -Q/F^4 (NaN where
-    F <= 0), from samples of F = f_inv, F', g and g' at the same angles.
-
-    Samples too large to square give an infinite or NaN Q without a
-    warning; Q > 0 fails on NaN."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        q = gp * fh + g * fhp + fh * fh - fhp * fhp
-        return q, np.where(fh > 0.0, -q / fh**4, np.nan)
-
-
 def _q_on_grid(f_inv: FourierSeries, g: FourierSeries, n: int):
-    """`_admissibility_q` on the n-point grid, from the cached samples of F, F', g and g'."""
-    return _admissibility_q(
-        *(s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative()))
-    )
+    """Q and the discriminant -Q/F^4 (NaN where F <= 0) on the n-point grid,
+    from the cached samples of the series Q and of F = f_inv.
+
+    Q is all NaN, without a warning, when a coefficient of its series
+    leaves the float range; Q > 0 fails on NaN.
+    """
+    q = f_inv._admissibility(g)
+    q = np.full(n, np.nan) if q is None else q._on_grid(n)
+    fh = f_inv._on_grid(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return q, np.where(fh > 0.0, -q / fh**4, np.nan)
 
 
 def _validate(

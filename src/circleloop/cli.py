@@ -13,8 +13,10 @@ grid that both the verdict and suite baer read, --degrees converts angle
 arguments from degrees on input (output stays in radians),
 and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|) and --delta-strict
 (the margin F and Q must clear on the grid) override the spec file's
-tolerances.  Angle arguments must be finite.  plot-data writes the
-samples the verdict read: F, F', g and g' on the validation grid.
+tolerances.  Angle arguments must be finite.  plot-data writes t, f, g,
+h and disc on the validation grid, f and disc from the samples of F and Q
+the verdict read.  validate ends with one strict JSON line: a non-finite
+number is null.
 
 Exit codes are the machine contract: 0 pass, 1 I/O / schema / usage
 error, 2 inadmissible spec, 3 suite failure.
@@ -101,6 +103,17 @@ def _snap(angle):
     return _float(np.where(TWO_PI - angle < 1e-11, 0.0, angle))
 
 
+def _finite_or_null(value):
+    """value with every non-finite float replaced by None, recursively."""
+    if isinstance(value, float):
+        return value if np.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _report_dict(spec: LoopSpec) -> dict:
     r = spec.report
     return {
@@ -159,7 +172,7 @@ def validate(ctx: click.Context, spec_path: str) -> None:
     click.echo(f"boundary residuals       : |f(0)-1|={r.f0_residual:.3g} |g(0)|={r.g0_residual:.3g}")
     _echo_failures(spec)
     click.echo(f"verdict                  : {'ADMISSIBLE' if r.verdict else 'INADMISSIBLE'}")
-    click.echo(json.dumps(_report_dict(spec)))
+    click.echo(json.dumps(_finite_or_null(_report_dict(spec)), allow_nan=False))
     sys.exit(EXIT_OK if r.verdict else EXIT_INADMISSIBLE)
 
 

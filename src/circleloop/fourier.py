@@ -12,15 +12,16 @@ exact coefficient arithmetic, and every pointwise quantity is a series:
     int_0^t s(u) du  = a0 t + A(t) - A(0),   A: D_k -> D_k/(ik).
 
 Each derived series (derivative, antiderivative A, profile P, energy
-s^2 - s'^2) is built once per series, and every series is read by one of
-two paths: at arbitrary points, Horner's rule in real arithmetic on
-(cos t, sin t), one sincos per point and then O(K) multiply-adds; on the
-uniform grid t_j = 2*pi*j/n, one inverse real FFT, exact for K < n/2 and
-kept per n.  The sincos is taken apart from the recurrence: `__call__`
-takes it, and `_at` reads a series at a sincos already taken, so the
-series of one loop operation share one sincos per angle.  No coefficient
-is ever estimated from samples, and `_grid_min` is the one reading of a
-grid's minimum and its angle.
+s^2 - s'^2) is built once per series, and the admissibility polynomial
+Q = (g s)' + s^2 - s'^2 of a reciprocal profile s once per shear g.  Every
+series is read by one of two paths: at arbitrary points, Horner's rule in
+real arithmetic on (cos t, sin t), one sincos per point and then O(K)
+multiply-adds; on the uniform grid t_j = 2*pi*j/n, one inverse real FFT,
+exact for K < n/2 and kept per n.  The sincos is taken apart from the
+recurrence: `__call__` takes it, and `_at` reads a series at a sincos
+already taken, so the series of one loop operation share one sincos per
+angle.  No coefficient is ever estimated from samples, and `_grid_min` is
+the one reading of a grid's minimum and its angle.
 
 A weight series w generates the reciprocal profile
 F(t) = e^t (1 - int_0^t w(u) e^-u du).  The profile series P, which keeps
@@ -30,9 +31,9 @@ F = P exactly when P(0) = 1.  `_profile` is that map, built once per
 weight.  The builder checks the positivity of F, a strict inequality on
 a continuum, on a uniform grid of at least 4K+16 points together with a
 positive margin.  Such a grid resolves every harmonic but decides nothing
-between its points.  The admissibility polynomial Q in `builder` is
-sampled the same way, and has degree max(K_F + K_g, 2 K_F): a spec whose
-negative Q minimum falls between two samples is admitted.
+between its points.  The series Q is sampled the same way, by one inverse
+FFT, and has degree max(K_F + K_g, 2 K_F): a spec whose negative Q
+minimum falls between two samples is admitted.
 """
 
 from __future__ import annotations
@@ -170,6 +171,22 @@ class FourierSeries:
         integrand of the comparison bound and of the integral inequality."""
         d = self.derivative()
         return self * self - d * d
+
+    def _admissibility(self, g: "FourierSeries") -> "FourierSeries | None":
+        """Q = (g s)' + s^2 - s'^2, the admissibility polynomial of the
+        reciprocal profile s and the shear g, with exact coefficients.
+
+        Built once per g and kept in a dict keyed by g, as `_on_grid` keeps
+        its grids per n; None when a coefficient leaves the float range.
+        """
+        qs = self.__dict__.setdefault("_qs", {})
+        if g not in qs:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    qs[g] = (g * self).derivative() + self._energy
+            except ValueError:
+                qs[g] = None
+        return qs[g]
 
     # The arbitrary-point path.
 

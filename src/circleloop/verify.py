@@ -181,20 +181,28 @@ def check_isomorphism_pair(spec: LoopSpec) -> SuiteResult:
 
 
 def run_psl2_suite(spec: LoopSpec) -> SuiteResult:
-    """`passed` iff f(pi) = 1 and g(pi) = 0, i.e. 1/f_inv(pi) = 1 and g(pi) = 0.
+    """`passed` iff F and g are pi-periodic: every odd coefficient of F = f_inv
+    and of g is at most 1e-9 in size, and f(pi) = 1 and g(pi) = 0.
 
-    When it holds, the loop is a double cover of a loop whose
-    left-translation group is the rotation quotient of the unimodular
-    group by its center.
+    Then (s + pi) * t = s * t + pi as well as s * (t + pi) = s * t + pi,
+    and the loop is a double cover of a loop whose left-translation group
+    is the rotation quotient of the unimodular group by its center.  The
+    point checks alone say only that sigma(pi) = -I, which is central, so
+    they hold for loops that cover nothing, such as F = 1 + 0.2 sin t; they
+    stay to reject a spec whose F(0) or g(0) is off, which the coefficients
+    alone do not see.
     """
-    r1 = abs(float(spec.f_inv(np.pi)) - 1.0)
-    r2 = abs(float(spec.g(np.pi)))
-    worst = max(r1, r2)
+    f_inv, g = spec.f_inv, spec.g
+    r1 = abs(float(f_inv(np.pi)) - 1.0)
+    r2 = abs(float(g(np.pi)))
+    odd = max(map(abs, f_inv.cos[::2] + f_inv.sin[::2] + g.cos[::2] + g.sin[::2]), default=0.0)
     details = (
         ("f_inv(pi)-1", float(np.pi), r1),
         ("g(pi)", float(np.pi), r2),
+        ("odd-harmonics", None, odd),
     )
-    return SuiteResult("psl2", worst < 1e-9, 2, worst, 1e-9, details)
+    passed = r1 < 1e-9 and r2 < 1e-9 and odd <= 1e-9
+    return SuiteResult("psl2", passed, 3, _worst(list(details)), 1e-9, details)
 
 
 @functools.cache

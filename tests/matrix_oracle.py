@@ -1,9 +1,12 @@
-"""Independent references for the loop: 2x2 matrix algebra and the transitivity quadratic.
+"""Independent references for the loop: 2x2 matrix algebra, the transitivity
+quadratic and the pointwise admissibility polynomial.
 
 The package computes a product's coset angle from one coset-column
 formula (`ops._coset_angle`) and decides transitivity by the
-admissibility polynomial Q (`builder._admissibility_q`).  The tests check
-both against the older, separate routes kept here.  `coset_angle`,
+admissibility polynomial Q, one series with exact coefficients
+(`FourierSeries._admissibility`) read on the build grid.  The tests check
+both against the older, separate routes kept here: `_admissibility_q`
+builds Q pointwise from samples of F, F', g and g'.  `coset_angle`,
 `product_angle`, `ldiv_angle` and `bisection_rdiv` are the operations
 composed from angles, every series read through the public
 `FourierSeries.__call__` with its own sincos: the package shares one
@@ -210,6 +213,17 @@ def transitivity_quadratic(spec, w, t):
         + f ** 4
     )
     return quad if quad.shape else float(quad)
+
+
+def _admissibility_q(fh, fhp, g, gp):
+    """Q = g'F + gF' + F^2 - F'^2 and the discriminant -Q/F^4 (NaN where
+    F <= 0), from samples of F = f_inv, F', g and g' at the same angles.
+
+    Samples too large to square give an infinite or NaN Q without a
+    warning; Q > 0 fails on NaN."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = gp * fh + g * fhp + fh * fh - fhp * fhp
+        return q, np.where(fh > 0.0, -q / fh**4, np.nan)
 
 
 def eta_derivative_expr(spec, w, t):

@@ -16,11 +16,11 @@ from circleloop import (
     subfunction_bound,
     weight_from_f_inv,
 )
-from circleloop.builder import Tolerances, _admissibility_q, uniform_grid
+from circleloop.builder import Tolerances, _q_on_grid, uniform_grid
 from circleloop.errors import NonPositiveProfileError
 
 from conftest import random_admissible_weight, random_admissible_spec, simpson_quadrature
-from matrix_oracle import transitivity_quadratic
+from matrix_oracle import _admissibility_q, transitivity_quadratic
 
 TWO_PI = 2.0 * np.pi
 
@@ -193,11 +193,6 @@ def grid_samples(f_inv: FourierSeries, g: FourierSeries, n: int):
     return [s._on_grid(n) for s in (f_inv, f_inv.derivative(), g, g.derivative())]
 
 
-def q_series(f_inv: FourierSeries, g: FourierSeries) -> FourierSeries:
-    """Q = (gF)' + F^2 - F'^2 with exact coefficients."""
-    return (g * f_inv).derivative() + f_inv._energy
-
-
 def coefficient_size(s: FourierSeries) -> float:
     return abs(s.a0) + float(np.abs(s.cos).sum() + np.abs(s.sin).sum())
 
@@ -217,40 +212,70 @@ Q_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database
 
 
 class TestAdmissibilityPolynomial:
-    """The verdict's polynomial Q = g'F + gF' + F^2 - F'^2, sampled on the build grid."""
+    """The verdict's polynomial Q = g'F + gF' + F^2 - F'^2: one series, read on the build grid."""
 
     @Q_PROPERTY
     @given(k=Q_DEGREES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 0.5, 3.0]))
     def test_grid_matches_exact_series(self, k, seed, scale):
         weight, g = random_pair(k, seed, scale)
         f_inv = weight._profile
-        exact = q_series(f_inv, g)
+        exact = f_inv._admissibility(g)
+        assert exact == (g * f_inv).derivative() + f_inv._energy
         n = 4 * (2 * k) + 16
-        q, _ = _admissibility_q(*grid_samples(f_inv, g, n))
+        q, _ = _q_on_grid(f_inv, g, n)
+        # the four-sample reference, from the grids of F, F', g and g'
+        reference, _ = _admissibility_q(*grid_samples(f_inv, g, n))
         tol = 1e-12 * coefficient_size(exact)
+        assert np.all(np.abs(q - reference) <= tol)
         assert np.all(np.abs(q - exact(uniform_grid(n))) <= tol)
         r = build_loop_spec(weight, g, grid_n=n).report
         assert r.grid_n == n
         assert r.q_min == q.min()
         assert r.q_argmin == uniform_grid(n)[q.argmin()]
-        assert abs(r.initial_slope_margin - exact(0.0)) <= tol
+        assert r.initial_slope_margin == q[0]
 
     @Q_PROPERTY
     @given(k=Q_DEGREES, seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.05, 0.5, 3.0]))
     def test_is_minus_discriminant_times_f_inv_to_the_fourth(self, k, seed, scale):
         weight, g = random_pair(k, seed, scale)
         f_inv = weight._profile
-        ts = np.random.default_rng(seed).uniform(0.0, TWO_PI, 257)
-        fh, fhp, gv, gp = f_inv(ts), f_inv.derivative_at(ts), g(ts), g.derivative_at(ts)
-        q, disc = _admissibility_q(fh, fhp, gv, gp)
+        n = 4 * (2 * k) + 16
+        q, disc = _q_on_grid(f_inv, g, n)
+        fh, fhp, gv, gp = samples = grid_samples(f_inv, g, n)
         pos = fh > 0.0
         # the discriminant in f = 1/f_inv, as the transitivity quadratic gives it
         f, fp = 1.0 / fh[pos], -fhp[pos] / fh[pos] ** 2
         direct = fp * fp + gv[pos] * f * f * fp - gp[pos] * f**3 - f * f
+        # the pointwise terms' size, and the series' own for its rounding
         scale_q = fhp * fhp + np.abs(gv * fhp) + np.abs(gp * fh) + fh * fh
+        scale_q += coefficient_size(f_inv._admissibility(g))
         assert np.all(np.abs(direct * fh[pos] ** 4 + q[pos]) <= 1e-12 * scale_q[pos])
         assert np.all(np.abs(disc[pos] - direct) <= 1e-12 * scale_q[pos] * f**4)
         assert np.all(np.isnan(disc[~pos]))
+        _, reference = _admissibility_q(*samples)
+        assert np.all(np.abs(disc[pos] - reference[pos]) <= 1e-12 * scale_q[pos] * f**4)
+        assert np.array_equal(np.isnan(disc), np.isnan(reference))
+
+    @pytest.mark.parametrize(
+        "weight, g",
+        [
+            # F^2 leaves the float range
+            (FourierSeries(1e160, (1e160,), (0.0,)), FourierSeries(0.0)),
+            # (gF)' does: the derivative doubles a coefficient of 1e308
+            (FourierSeries(1.0), FourierSeries(-1e308, (1e308, 0.0), (0.0, 1e308))),
+        ],
+        ids=["energy", "shear"],
+    )
+    def test_overflowing_series_reads_as_all_nan(self, weight, g):
+        # Q has no series: the verdict reads an all-NaN Q and fails the
+        # discriminant, without a warning (RuntimeWarnings are errors here)
+        spec = build_loop_spec(weight, g)
+        assert spec.f_inv._admissibility(spec.g) is None
+        q, disc = _q_on_grid(spec.f_inv, spec.g, spec.report.grid_n)
+        assert np.isnan(q).all() and np.isnan(disc).all()
+        assert math.isnan(spec.report.q_min)
+        assert math.isnan(spec.report.initial_slope_margin)
+        assert "discriminant" in {f.condition for f in spec.report.failures}
 
     def test_admitted_specs_satisfy_the_implied_conditions(self):
         # Q > 0 implies each of them; they are diagnostics, not conditions
@@ -406,7 +431,8 @@ class TestBuildLoopSpec:
             assert r.f0_residual == pytest.approx(abs(identity - 1.0), abs=1e-15)
 
     def test_energy_series_built_once(self, monkeypatch):
-        # f_inv * f_inv and f_inv' * f_inv', shared by every check of one build
+        # g * f_inv, f_inv * f_inv and f_inv' * f_inv' build Q once per pair
+        # (F, g), and every later build of the pair reads it
         calls = []
         product = FourierSeries.__mul__
 
@@ -418,8 +444,11 @@ class TestBuildLoopSpec:
         k = np.arange(1, 65)
         cos, sin = tuple(0.2 / k**2), tuple(0.1 / k**2)
         g = FourierSeries(solve_g_const(cos), cos, sin)
-        build_loop_spec(FourierSeries(solve_a0(cos, sin), cos, sin), g)
-        assert len(calls) == 2
+        weight = FourierSeries(solve_a0(cos, sin), cos, sin)
+        build_loop_spec(weight, g)
+        assert len(calls) == 3
+        build_loop_spec(weight, g)
+        assert len(calls) == 3
 
     def test_grid_resolves_high_harmonics(self):
         cos = (0.0,) * 40 + (0.01,)

@@ -26,7 +26,7 @@ FIXTURE_VERDICTS = {
 }
 
 #: cases each suite runs in `run_suite(spec, "all")`, the same for every spec
-SUITE_CASES = {"axioms": 8320, "baer": 4096, "isomorphism": 4096, "oracle": 101, "psl2": 2}
+SUITE_CASES = {"axioms": 8320, "baer": 4096, "isomorphism": 4096, "oracle": 101, "psl2": 3}
 #: `passed` of each suite, in SUITE_CASES order, for every spec in specs/
 FIXTURE_SUITES = {
     "corrupted.json": (False, False, False, True, False),
@@ -114,6 +114,20 @@ class TestValidate:
         assert set(machine) == REPORT_KEYS
         assert set(machine["tolerances"]) == {"tol_eq", "delta_strict"}
         assert set(machine["failures"][0]) == {"condition", "where", "value"}
+
+    def test_json_line_is_strict(self, tmp_path):
+        # F = 0.3 + 0.7 cos t + 0.7 sin t reaches -0.4: the discriminant is
+        # undefined there, and its maximum is null, not a bare NaN
+        doc = {"schema_version": 1, "r": {"a0": 0.3, "cos": [0.7], "sin": [0.7]}}
+        res = run_cli("validate", write_spec(tmp_path, "neg.json", doc))
+        assert res.returncode == 2
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        machine = json.loads(res.stdout.strip().splitlines()[-1], parse_constant=reject)
+        assert machine["discriminant_max"] is None
+        assert machine["q_min"] < 0.0
 
     def test_missing_file_exits_one(self):
         assert run_cli("validate", "/nonexistent/spec.json").returncode == 1

@@ -541,7 +541,7 @@ class TestLeastEtaSlope:
         # the two eigenvalues add to the trace 2 + m and multiply to d
         d = slope * (2.0 + m - slope)
         q, _ = _q_on_grid(spec.f_inv, spec.g, n)
-        series = (spec.g * spec.f_inv).derivative() + spec.f_inv._energy
+        series = spec.f_inv._admissibility(spec.g)
         size = abs(series.a0) + np.abs(series.cos).sum() + np.abs(series.sin).sum()
         assert np.max(np.abs(d * spec.f_inv._on_grid(n) ** 2 - q)) <= 1e-12 * size
 

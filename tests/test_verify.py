@@ -169,6 +169,39 @@ class TestPsl2Quotient:
         assert even_spec.report.verdict
         assert run_psl2_suite(even_spec).passed
 
+    @pytest.mark.parametrize(
+        "f_inv, g",
+        [
+            (FourierSeries(1.0, (0.0,), (0.2,)), FourierSeries(0.0)),
+            (FourierSeries(1.0), FourierSeries(0.0, (0.0,), (0.1,))),
+        ],
+        ids=["f_inv-odd", "g-odd"],
+    )
+    def test_odd_harmonic_fails_though_pi_is_fixed(self, f_inv, g):
+        # F(pi) = 1 and g(pi) = 0 hold, so sigma(pi) = -I, yet the loop is
+        # no double cover: (s + pi) * t and s * t + pi differ
+        spec = build_loop_spec(weight_from_f_inv(f_inv), g)
+        assert spec.report.verdict
+        res = run_psl2_suite(spec)
+        assert not res.passed
+        details = {name: value for name, _, value in res.details}
+        assert details["f_inv(pi)-1"] < 1e-9 and details["g(pi)"] < 1e-9
+        assert details["odd-harmonics"] == pytest.approx(max(f_inv.sin + g.sin), abs=1e-15)
+        assert descent_defect(spec) > 0.01
+
+    def test_passing_specs_descend_to_the_quotient(self, trivial_spec, even_spec):
+        # the identity the predicate stands for: (s + pi) * t = s * t + pi
+        for spec in (trivial_spec, even_spec):
+            assert run_psl2_suite(spec).passed
+            assert descent_defect(spec) <= 1e-12
+
+
+def descent_defect(spec) -> float:
+    """Largest |(s + pi) * t - (s * t + pi)| on a 32 x 32 grid, as circular distance."""
+    angles = np.linspace(0.0, TWO_PI, 32, endpoint=False)
+    ss, tt = np.meshgrid(angles, angles)
+    return float(np.max(circ_dist(mul(spec, ss + np.pi, tt), mul(spec, ss, tt) + np.pi)))
+
 
 class TestOracleSuite:
     def test_trivial_machine_precision(self, trivial_spec):
