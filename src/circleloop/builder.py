@@ -24,17 +24,21 @@ F^4 is minus the admissibility polynomial
 a trigonometric polynomial of degree max(K_F + K_g, 2 K_F), so the
 verdict needs no division by F.  Q is one series with exact coefficients,
 `FourierSeries._admissibility`, built once per pair (F, g) and read, as F
-is, by one inverse FFT per grid.  The verdict is four conditions, each
-measured once on the build grid and named by its failure:
+is, by one inverse FFT per grid.  The build measures the four conditions
+of the verdict, each once, and names each failure after its condition:
 
     F(0) = 1  (weight-identity),      g(0) = 0  (g-boundary),
     F > 0     (profile-positivity),   Q > 0     (discriminant).
 
-The two equalities share one tolerance, the two strict inequalities one
-margin.  The report keeps two consequences of them as diagnostics, which
-decide nothing: the initial-slope margin Q(0) = g'(0) + 1 - F'(0)^2 and
-the integral inequality int_0^{2pi} (F^2 - F'^2) dt = 2*pi mean(Q) > 0.
-A third, the comparison bound g + h > 0 on (0, 2*pi] with
+F(0) and g(0) are read in closed form, a0 plus the cosine coefficients;
+min F and min Q on the build grid.  The two equalities share one
+tolerance, the two strict inequalities one margin.  The report keeps two
+consequences of them as diagnostics, which decide nothing: the
+initial-slope margin Q(0) = g'(0) + 1 - F'(0)^2 and the integral
+inequality int_0^{2pi} (F^2 - F'^2) dt = 2*pi mean(Q) > 0.  The
+discriminant's grid maximum decides nothing Q does not either, so the
+report derives it from (F, g) when it is first read.  A third
+consequence, the comparison bound g + h > 0 on (0, 2*pi] with
 
     h(t) = (1/F(t)) * int_0^t (F^2 - F'^2) du,   F (g + h) = int_0^t Q,
 
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,18 +89,21 @@ class Failure:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Structured outcome of the admissibility check for one spec.
+    """Structured outcome of the admissibility check for one spec (F, g).
 
     The verdict is f0_residual = |F(0) - 1| and g0_residual = |g(0)| within
-    tol_eq, and f_inv_min and q_min above delta_strict.  The discriminant,
-    the initial-slope margin and the integral are diagnostics implied by
-    them (the discriminant is NaN where F > 0 fails).
+    tol_eq, and f_inv_min and q_min above delta_strict: the four
+    measurements the build makes.  The initial-slope margin and the
+    integral are diagnostics implied by them.  So is the discriminant
+    -Q/F^4 (NaN where F > 0 fails), whose grid maximum and angle are
+    computed from f_inv, g and grid_n the first time either is read, and
+    kept as two floats.
     """
 
+    f_inv: FourierSeries = field(repr=False)
+    g: FourierSeries = field(repr=False)
     f_inv_min: float          # grid minimum of the reciprocal profile
     f_inv_argmin: float
-    discriminant_max: float
-    discriminant_argmax: float
     q_min: float              # grid minimum of the admissibility polynomial Q
     q_argmin: float
     initial_slope_margin: float  # Q(0), the grid's first sample
@@ -106,6 +114,21 @@ class ValidationReport:
     tolerances: Tolerances
     verdict: bool
     failures: tuple[Failure, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def _discriminant(self) -> tuple[float, float | None]:
+        """The discriminant's grid maximum and its angle; no angle when the
+        maximum is NaN, as it is once F <= 0 at a sample or Q overflows."""
+        neg_max, where = _grid_min(-_q_on_grid(self.f_inv, self.g, self.grid_n)[1])
+        return -neg_max, None if math.isnan(neg_max) else where
+
+    @property
+    def discriminant_max(self) -> float:
+        return self._discriminant[0]
+
+    @property
+    def discriminant_argmax(self) -> float | None:
+        return self._discriminant[1]
 
 
 @dataclass(frozen=True)
@@ -183,15 +206,30 @@ def subfunction_bound(f_inv: FourierSeries, t, *, grid_n: int = DEFAULT_GRID):
     return f_inv._energy.integral_from_zero(t) / f_inv(t)
 
 
-def _q_on_grid(f_inv: FourierSeries, g: FourierSeries, n: int):
-    """Q and the discriminant -Q/F^4 (NaN where F <= 0) on the n-point grid,
-    from the cached samples of the series Q and of F = f_inv.
+def _at_zero(series: FourierSeries) -> float:
+    """series(0) in closed form: a0 plus the cosine coefficients.
 
-    Q is all NaN, without a warning, when a coefficient of its series
-    leaves the float range; Q > 0 fails on NaN.
+    At t = 0 (cos 0 = 1, sin 0 = 0) these are the additions Horner's rule
+    makes, in the same order, so the value is `series(0.0)` up to the
+    sign of an exact zero.
+    """
+    return series.a0 + sum(reversed(series.cos))
+
+
+def _q_samples(f_inv: FourierSeries, g: FourierSeries, n: int) -> np.ndarray:
+    """Q on the n-point grid, the cached samples of the series Q.
+
+    All NaN, without a warning, when a coefficient of Q leaves the float
+    range; Q > 0 fails on NaN.
     """
     q = f_inv._admissibility(g)
-    q = np.full(n, np.nan) if q is None else q._on_grid(n)
+    return np.full(n, np.nan) if q is None else q._on_grid(n)
+
+
+def _q_on_grid(f_inv: FourierSeries, g: FourierSeries, n: int):
+    """Q and the discriminant -Q/F^4 (NaN where F <= 0) on the n-point grid,
+    from the cached samples of the series Q and of F = f_inv."""
+    q = _q_samples(f_inv, g, n)
     fh = f_inv._on_grid(n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return q, np.where(fh > 0.0, -q / fh**4, np.nan)
@@ -207,12 +245,11 @@ def _validate(
     suite `baer` reads too.  Every comparison is written to fail on NaN.
     """
     n = max(grid_n, min_grid_points(f_inv), min_grid_points(g))
-    f0_res = abs(float(f_inv(0.0)) - 1.0)
-    g0_res = abs(float(g(0.0)))
+    f0_res = abs(_at_zero(f_inv) - 1.0)
+    g0_res = abs(_at_zero(g))
     f_min, f_argmin = _grid_min(f_inv._on_grid(n))
-    q, disc = _q_on_grid(f_inv, g, n)
+    q = _q_samples(f_inv, g, n)
     q_min, q_argmin = _grid_min(q)
-    neg_max, disc_argmax = _grid_min(-disc)  # the discriminant's maximum, negated
     failures = tuple(
         Failure(name, where, value)
         for failed, name, where, value in (
@@ -224,10 +261,10 @@ def _validate(
         if failed
     )
     return ValidationReport(
+        f_inv=f_inv,
+        g=g,
         f_inv_min=f_min,
         f_inv_argmin=f_argmin,
-        discriminant_max=-neg_max,
-        discriminant_argmax=disc_argmax,
         q_min=q_min,
         q_argmin=q_argmin,
         initial_slope_margin=float(q[0]),

@@ -16,7 +16,7 @@ and --tol-eq (the tolerance on |F(0) - 1| and |g(0)|) and --delta-strict
 tolerances.  Angle arguments must be finite.  plot-data writes t, f, g,
 h and disc on the validation grid, f and disc from the samples of F and Q
 the verdict read.  validate ends with one strict JSON line: a non-finite
-number is null.
+number is null, and so is the angle of an undefined discriminant maximum.
 
 Exit codes are the machine contract: 0 pass, 1 I/O / schema / usage
 error, 2 inadmissible spec, 3 suite failure.
@@ -25,6 +25,7 @@ error, 2 inadmissible spec, 3 suite failure.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -165,7 +166,8 @@ def validate(ctx: click.Context, spec_path: str) -> None:
     r, tol = spec.report, spec.report.tolerances
     click.echo(f"# grid_n={r.grid_n} tol_eq={tol.tol_eq:g} delta_strict={tol.delta_strict:g}")
     click.echo(f"profile minimum          : {r.f_inv_min:.6g} at t={r.f_inv_argmin:.6f}")
-    click.echo(f"discriminant maximum     : {r.discriminant_max:.6g} at t={r.discriminant_argmax:.6f}")
+    at = "" if r.discriminant_argmax is None else f" at t={r.discriminant_argmax:.6f}"
+    click.echo(f"discriminant maximum     : {r.discriminant_max:.6g}{at}")
     click.echo(f"Q minimum                : {r.q_min:.6g} at t={r.q_argmin:.6f}")
     click.echo(f"initial slope margin     : {r.initial_slope_margin:.6g}")
     click.echo(f"integral inequality      : {r.integral_value:.6g}")
@@ -219,10 +221,11 @@ def table(ctx: click.Context, spec_path: str, size: int, out_path: str) -> None:
     _require_valid(spec)
     angles = TWO_PI * np.arange(size + 1) / (size + 1)
     ss, tt = np.meshgrid(angles, angles, indexing="ij")
-    products = _snap(ops.mul(spec, ss, tt))
-    lines = ["s,t,mul"]
-    for s, t, p in zip(ss.ravel(), tt.ravel(), products.ravel()):
-        lines.append(f"{s:.12g},{t:.12g},{p:.12g}")
+    products = _snap(ops.mul(spec, ss, tt)).ravel().tolist()
+    axis = [f"{a:.12g}" for a in angles.tolist()]
+    lines = ["s,t,mul"] + [
+        f"{s},{t},{p:.12g}" for (s, t), p in zip(itertools.product(axis, repeat=2), products)
+    ]
     _write_csv(out_path, lines)
     click.echo(f"wrote {len(lines) - 1} rows to {out_path}")
 
@@ -243,7 +246,8 @@ def plot_data(ctx: click.Context, spec_path: str, out_path: str) -> None:
     h = subfunction_bound(spec.f_inv, ts, grid_n=n)
     _, disc = _q_on_grid(spec.f_inv, spec.g, n)
     lines = ["t,f,g,h,disc"]
-    for row in zip(ts, 1.0 / spec.f_inv._on_grid(n), spec.g._on_grid(n), h, disc):
+    columns = (ts, 1.0 / spec.f_inv._on_grid(n), spec.g._on_grid(n), h, disc)
+    for row in zip(*(c.tolist() for c in columns)):
         lines.append(",".join(f"{v:.12g}" for v in row))
     _write_csv(out_path, lines)
     click.echo(f"wrote {len(lines) - 1} rows to {out_path}")

@@ -1,8 +1,10 @@
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circleloop import (
@@ -16,13 +18,20 @@ from circleloop import (
     subfunction_bound,
     weight_from_f_inv,
 )
-from circleloop.builder import Tolerances, _q_on_grid, uniform_grid
+from circleloop import builder
+from circleloop.builder import Tolerances, _at_zero, _q_on_grid, uniform_grid
 from circleloop.errors import NonPositiveProfileError
+from circleloop.fourier import _grid_min
+from circleloop.specfile import load_spec_file
 
-from conftest import random_admissible_weight, random_admissible_spec, simpson_quadrature
+from conftest import (
+    dense_admissible_spec, near_boundary_spec, random_admissible_spec, random_admissible_weight,
+    simpson_quadrature,
+)
 from matrix_oracle import _admissibility_q, transitivity_quadratic
 
 TWO_PI = 2.0 * np.pi
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 EXAMPLE_WEIGHT = FourierSeries(0.9, (0.2,), (0.0,))
 
@@ -497,3 +506,118 @@ class TestReflect:
         # g = 0.05 sin t is odd, so -g(-t) = g: the shear is fixed
         mirror = reflect_spec(shear_spec)
         assert mirror.g == shear_spec.g
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def grid_discriminant(f_inv: FourierSeries, g: FourierSeries, n: int):
+    """The discriminant's grid maximum and angle, straight from `_q_on_grid`."""
+    neg_max, where = _grid_min(-_q_on_grid(f_inv, g, n)[1])
+    return -neg_max, where
+
+
+class TestMeasuredOnlyForTheVerdict:
+    """The build measures F(0), g(0), min F and min Q; the discriminant is
+    derived from the report's (F, g, grid_n) when it is first read."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.sampled_from([0, 0, 1, 2, 7, 256, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+        a0=st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3),
+        zeros=st.floats(0.0, 1.0),
+        scale=st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]),
+    )
+    @example(k=1, seed=0, a0=-0.0, zeros=1.0, scale=1.0)
+    def test_closed_form_at_zero_is_horner(self, k, seed, a0, zeros, scale):
+        # at t = 0 Horner's rule adds the cosine coefficients from the last,
+        # and so does the closed form: the value agrees bit for bit, except
+        # that an exact zero may differ in sign (a0 and every cosine -0.0),
+        # and the residuals the verdict reads agree bit for bit always
+        rng = np.random.default_rng(seed)
+        c, s = scale * rng.normal(size=(2, k))
+        c[rng.uniform(size=k) < zeros] = 0.0
+        s[rng.uniform(size=k) < zeros] = 0.0
+        c, s = np.copysign(c, rng.normal(size=k)), np.copysign(s, rng.normal(size=k))
+        series = FourierSeries(a0, c, s)
+        horner, closed = float(series(0.0)), _at_zero(series)
+        if closed == 0.0:
+            assert horner == 0.0
+        else:
+            assert bits(closed) == bits(horner)
+        assert bits(abs(closed - 1.0)) == bits(abs(horner - 1.0))
+        assert bits(abs(closed)) == bits(abs(horner))
+
+    def test_build_does_not_compute_the_discriminant(self, monkeypatch):
+        cases = [
+            (FourierSeries(0.9, (0.2,), (0.0,)), FourierSeries(0.0, (0.0,), (0.05,))),
+            (FourierSeries(0.3, (0.7,), (0.7,)), builder.TRIVIAL_G),
+            (FourierSeries(1.0), FourierSeries(0.0, (0.0,), (-2.0,))),
+        ]
+        before = [build_loop_spec(w, g).report for w, g in cases]
+        expected = before[0].discriminant_max, before[0].discriminant_argmax
+
+        def refuse(*args):
+            raise AssertionError("the build computed the discriminant")
+
+        monkeypatch.setattr(builder, "_q_on_grid", refuse)
+        # fresh series, so no cached grid or Q series is shared with `before`
+        fresh = lambda s: FourierSeries(s.a0, s.cos, s.sin)
+        after = [
+            build_loop_spec(fresh(w), fresh(g)).report for w, g in cases
+        ]
+        for old, new in zip(before, after):
+            assert (new.verdict, new.q_min, new.failures) == (old.verdict, old.q_min, old.failures)
+            assert new == old
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _q_on_grid(*args)
+
+        monkeypatch.setattr(builder, "_q_on_grid", counted)
+        r = after[0]
+        assert r.discriminant_max == expected[0]
+        assert len(calls) == 1
+        assert (r.discriminant_max, r.discriminant_argmax) == expected
+        assert len(calls) == 1
+
+    def test_report_holds_no_array(self, shear_spec):
+        r = shear_spec.report
+        r.discriminant_max
+        assert not any(isinstance(v, np.ndarray) for v in vars(r).values())
+        assert all(type(v) is float for v in r._discriminant)
+
+    def test_fixture_and_spec_file_values_are_the_grid_formula(self, request):
+        specs = [
+            request.getfixturevalue(name)
+            for name in ("trivial_spec", "example_spec", "shear_spec", "even_spec",
+                         "corrupted_spec")
+        ]
+        specs += [random_admissible_spec(np.random.default_rng(7)), dense_admissible_spec(3, 64)]
+        specs += [near_boundary_spec(delta) for delta in (-1e-6, 1e-6)]
+        for path in sorted(SPECS.glob("*.json")):
+            doc = load_spec_file(path)
+            tol = doc.tolerances or Tolerances()
+            specs.append(build_loop_spec(doc.weight, doc.g, doc.grid_n or 4096, tol))
+        for spec in specs:
+            r = spec.report
+            expected, where = grid_discriminant(r.f_inv, r.g, r.grid_n)
+            assert math.isfinite(expected)
+            assert bits(r.discriminant_max) == bits(expected)
+            assert r.discriminant_argmax == where
+
+    def test_undefined_maximum_names_no_angle(self):
+        # F = 0.3 + 0.7 cos t + 0.7 sin t reaches -0.4: the discriminant is NaN
+        # where F <= 0, so its maximum is NaN, and no sample is its angle
+        r = build_loop_spec(FourierSeries(0.3, (0.7,), (0.7,))).report
+        assert math.isnan(r.discriminant_max)
+        assert r.discriminant_argmax is None
+        assert math.isnan(grid_discriminant(r.f_inv, r.g, r.grid_n)[0])
+        # a defined maximum keeps the angle of its grid sample
+        r = build_loop_spec(FourierSeries(0.9, (0.2,), (0.0,)), grid_n=512).report
+        assert r.discriminant_argmax == grid_discriminant(r.f_inv, r.g, 512)[1]
+        assert r.discriminant_argmax in set(uniform_grid(512).tolist())

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circleloop import FourierSeries, Tolerances, build_loop_spec, run_suite
+from circleloop import FourierSeries, Tolerances, build_loop_spec, ops, run_suite
+from circleloop.builder import _q_on_grid, subfunction_bound, uniform_grid
+from circleloop.cli import _snap
 from circleloop.specfile import SpecDocument, dump_spec_file, load_spec_file
 
 from conftest import near_boundary_spec
@@ -72,6 +74,11 @@ def write_spec(tmp_path, name, data):
     return str(path)
 
 
+def _fixture_pair(name):
+    doc = load_spec_file(SPECS / name)
+    return doc.weight, doc.g
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "circleloop.cli", *args],
@@ -127,6 +134,9 @@ class TestValidate:
 
         machine = json.loads(res.stdout.strip().splitlines()[-1], parse_constant=reject)
         assert machine["discriminant_max"] is None
+        # an undefined maximum has no angle: null, and no "at t=" in the text
+        assert machine["discriminant_argmax"] is None
+        assert "discriminant maximum     : nan\n" in res.stdout
         assert machine["q_min"] < 0.0
 
     def test_missing_file_exits_one(self):
@@ -255,6 +265,20 @@ class TestTable:
             d = abs(p - (s + t) % TWO_PI) % TWO_PI
             assert min(d, TWO_PI - d) < 1e-10
 
+    @pytest.mark.parametrize("name", ["example_shear.json", "even_psl2.json"])
+    def test_csv_bytes_are_the_per_row_format(self, tmp_path, name):
+        # the rows as a per-row f-string over the numpy grids writes them
+        spec = build_loop_spec(*_fixture_pair(name))
+        n = 6
+        angles = TWO_PI * np.arange(n + 1) / (n + 1)
+        ss, tt = np.meshgrid(angles, angles, indexing="ij")
+        products = _snap(ops.mul(spec, ss, tt))
+        rows = [f"{s:.12g},{t:.12g},{p:.12g}\n"
+                for s, t, p in zip(ss.ravel(), tt.ravel(), products.ravel())]
+        out = tmp_path / "table.csv"
+        assert run_cli("table", str(SPECS / name), "-n", str(n), "-o", str(out)).returncode == 0
+        assert out.read_bytes() == ("s,t,mul\n" + "".join(rows)).encode()
+
     def test_size_one_is_usage_error(self, tmp_path):
         spec = write_spec(tmp_path, "t.json", TRIVIAL)
         out = tmp_path / "nope.csv"
@@ -301,6 +325,21 @@ class TestPlotData:
         assert len(rows) == machine["grid_n"]
         assert f"{rows[:, 4].max():.12g}" == f"{machine['discriminant_max']:.12g}"
         assert f"{rows[:, 1].max():.12g}" == f"{1.0 / machine['profile_min']:.12g}"
+
+    @pytest.mark.parametrize("name", ["example_shear.json", "even_psl2.json"])
+    def test_csv_bytes_are_the_per_row_format(self, tmp_path, name):
+        # the rows as a per-row f-string over the numpy columns writes them
+        n = 64
+        spec = build_loop_spec(*_fixture_pair(name), grid_n=n)
+        ts = uniform_grid(n)
+        columns = (ts, 1.0 / spec.f_inv._on_grid(n), spec.g._on_grid(n),
+                   subfunction_bound(spec.f_inv, ts, grid_n=n),
+                   _q_on_grid(spec.f_inv, spec.g, n)[1])
+        rows = [",".join(f"{v:.12g}" for v in row) + "\n" for row in zip(*columns)]
+        out = tmp_path / "plot.csv"
+        res = run_cli("--grid", str(n), "plot-data", str(SPECS / name), "-o", str(out))
+        assert res.returncode == 0
+        assert out.read_bytes() == ("t,f,g,h,disc\n" + "".join(rows)).encode()
 
     def test_invalid_spec_writes_nothing(self, tmp_path):
         spec = write_spec(tmp_path, "bad.json", INADMISSIBLE)
