@@ -2,7 +2,9 @@
 
 Build a loop spec from a weight series and a shear, validate every
 admissibility condition, evaluate the loop operations, and verify the
-loop / sharp-transitivity properties numerically.
+loop / sharp-transitivity properties numerically.  The suites' names load
+from `circleloop.verify` on first use, so importing the package (or the
+CLI for any command but `check`) does not import them.
 """
 
 from .builder import (
@@ -20,14 +22,6 @@ from .builder import (
 )
 from .fourier import FourierSeries, solve_a0
 from .ops import eta, ldiv, mul, rdiv
-from .verify import (
-    SuiteResult,
-    check_isomorphism_pair,
-    oracle_crosscheck_suite,
-    run_axiom_suite,
-    run_baer_suite,
-    run_suite,
-)
 
 __version__ = "0.1.0"
 
@@ -56,3 +50,15 @@ __all__ = [
     "oracle_crosscheck_suite",
     "run_suite",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the six suite names are read from `verify`, imported on first
+    # use; any other name falls through, so `from circleloop import verify`
+    # still imports the submodule
+    if name in ("SuiteResult", "check_isomorphism_pair", "oracle_crosscheck_suite",
+                "run_axiom_suite", "run_baer_suite", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

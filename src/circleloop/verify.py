@@ -10,6 +10,7 @@ violation stayed within the suite's tolerance.
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,13 @@ def run_axiom_suite(spec: LoopSpec) -> SuiteResult:
     products = ops._mul_unchecked(spec, aa, bb)
     y = ops._ldiv_unchecked(spec, aa, products)
     details.append(_worst_pair("ldiv-roundtrip", aa, bb, ops._circular_distance(y, bb)))
+    # Each of rdiv's 51 bisection passes frees more than glibc's default
+    # 128 KB heap-trim threshold, so the heap top would go back to the OS
+    # and be faulted in again at every pass (about 2,000 page faults here).
+    # glibc raises the threshold to twice the largest mmapped chunk a
+    # process has freed (mallopt(3), M_MMAP_THRESHOLD): this 1 MB scratch,
+    # allocated and freed at once, is that chunk.
+    np.empty(1 << 17)
     try:
         x = ops._rdiv_unchecked(spec, products, bb)
         details.append(_worst_pair("rdiv-roundtrip", aa, bb, ops._circular_distance(x, aa)))
@@ -231,9 +239,13 @@ def oracle_crosscheck_suite(spec: LoopSpec, seed: int = DEFAULT_SEED) -> SuiteRe
     e^t amplification and 6e-14 on the energy integral for K <= 128,
     where n = 2K + 16 leaves energy errors up to 5e-4.  A t of 0 gets only
     the bound's check, h(0) = 0.
+
+    The 48 angles are uniform on [0, 2*pi], drawn from the standard
+    library's Mersenne Twister, `random.Random(seed).uniform`: each seed
+    gives fixed angles, and no process pays for importing numpy.random.
     """
-    rng = np.random.default_rng(seed)
-    ts = np.concatenate(([0.0, np.pi, TWO_PI], rng.uniform(0.0, TWO_PI, _ORACLE_SAMPLES)))
+    draw = random.Random(seed).uniform
+    ts = np.array([0.0, np.pi, TWO_PI] + [draw(0.0, TWO_PI) for _ in range(_ORACLE_SAMPLES)])
     weight, f_inv = spec.weight, spec.f_inv
     nodes, weights = _gauss_legendre(4 * weight.harmonics + 32)
     half = 0.5 * ts

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import circleloop
 from circleloop import FourierSeries, Tolerances, build_loop_spec, ops, run_suite
 from circleloop.builder import _q_on_grid, subfunction_bound, uniform_grid
 from circleloop.cli import _snap
 from circleloop.specfile import SpecDocument, dump_spec_file, load_spec_file
+from circleloop.verify import DEFAULT_SEED
 
 from conftest import near_boundary_spec
 
@@ -213,7 +215,64 @@ def test_bad_spec_file_tolerances_exit_one(tmp_path, tolerances):
     assert "Traceback" not in res.stderr
 
 
+#: every option's help string, per command (None: the global options)
+OPTION_HELP = {
+    None: ["Validation grid size override.", "Interpret angle arguments as degrees.",
+           "Tolerance override for |F(0) - 1| and |g(0)|.",
+           "Required margin of F and Q on the grid."],
+    "validate": [],
+    "mul": [],
+    "ldiv": [],
+    "rdiv": [],
+    "table": ["Angles per axis minus one.", "Output CSV."],
+    "plot-data": ["Output CSV."],
+    "check": ["axioms | baer | isomorphism | oracle | psl2 | all.",
+              "Seed for randomized suites.",
+              "Run suites even on an inadmissible spec (diagnostics)."],
+}
+
+
+@pytest.mark.parametrize("command", list(OPTION_HELP))
+def test_help_exits_zero_and_names_every_option(command):
+    res = run_cli(*([] if command is None else [command]), "--help")
+    assert res.returncode == 0
+    text = " ".join(res.stdout.split())  # argparse wraps to the terminal width
+    for line in OPTION_HELP[command]:
+        assert line in text
+    if command is None:
+        assert all(name in text for name in OPTION_HELP if name is not None)
+    if command == "check":
+        assert str(DEFAULT_SEED) in text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),  # no command
+        ("nonsense", EXAMPLE_FILE),
+        ("table", EXAMPLE_FILE, "-o", "never.csv"),  # -n is required
+        ("--grid", "abc", "validate", EXAMPLE_FILE),
+        ("validate", EXAMPLE_FILE, "--tol-eq", "1"),  # global options precede the command
+        ("--deg", "mul", EXAMPLE_FILE, "1", "2"),  # no abbreviated options
+        ("mul", EXAMPLE_FILE, "-inf", "1"),
+    ],
+)
+def test_usage_errors_exit_one(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 class TestAngleCommands:
+    @pytest.mark.parametrize("op", ["mul", "ldiv", "rdiv"])
+    def test_negative_decimal_angle(self, op):
+        spec = build_loop_spec(*_fixture_pair("example_shear.json"))
+        res = run_cli(op, str(SPECS / "example_shear.json"), "-1.5", "1")
+        assert res.returncode == 0
+        assert res.stdout == f"{_snap(getattr(ops, op)(spec, -1.5, 1.0)):.12f}\n"
+
     def test_mul_trivial(self, tmp_path):
         spec = write_spec(tmp_path, "t.json", TRIVIAL)
         res = run_cli("mul", spec, "1.0", "2.0")
@@ -431,6 +490,68 @@ class TestCheck:
     def test_unknown_suite_exits_one(self, tmp_path):
         spec = write_spec(tmp_path, "t.json", TRIVIAL)
         assert run_cli("check", spec, "--suite", "nonsense").returncode == 1
+
+
+#: a fresh interpreter runs the CLI as `python -m circleloop.cli` does, then
+#: prints which of the modules a quick command need not load were loaded
+FOOTPRINT = """
+import runpy, sys
+sys.argv = ["circleloop", *sys.argv[1:]]
+try:
+    runpy.run_module("circleloop.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+else:
+    code = 0
+print(code, *(m for m in ("click", "circleloop.verify", "numpy.random") if m in sys.modules))
+"""
+
+
+def _footprint(*argv):
+    res = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], capture_output=True, text=True)
+    code, *loaded = res.stdout.splitlines()[-1].split()
+    return int(code), loaded
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate", EXAMPLE_FILE),
+            ("mul", EXAMPLE_FILE, "1.0", "2.0"),
+            ("table", EXAMPLE_FILE, "-n", "4", "-o", "{out}"),
+        ],
+    )
+    def test_quick_commands_load_no_suite(self, tmp_path, argv):
+        argv = [a.format(out=tmp_path / "table.csv") for a in argv]
+        assert _footprint(*argv) == (0, [])
+
+    def test_check_does_not_load_numpy_random(self):
+        assert _footprint("check", EXAMPLE_FILE) == (0, ["circleloop.verify"])
+
+    def test_public_names_unchanged_and_resolve(self):
+        assert circleloop.__all__ == [
+            "FourierSeries", "solve_a0", "solve_g_const", "Failure", "LoopSpec", "Tolerances",
+            "ValidationReport", "build_loop_spec", "f_inv_from_weight", "weight_from_f_inv",
+            "integral_inequality_value", "reflect_spec", "subfunction_bound", "mul", "ldiv",
+            "rdiv", "eta", "SuiteResult", "run_axiom_suite", "run_baer_suite",
+            "check_isomorphism_pair", "oracle_crosscheck_suite", "run_suite",
+        ]
+        # in a fresh interpreter: the suite names load verify on first use,
+        # and the submodule import falls through the package's __getattr__
+        code = (
+            "import sys, circleloop\n"
+            "assert 'circleloop.verify' not in sys.modules\n"
+            "from circleloop import verify\n"
+            "from circleloop import *\n"
+            "assert all(getattr(circleloop, n) is not None for n in circleloop.__all__)\n"
+            "assert circleloop.run_suite is verify.run_suite\n"
+            "assert SuiteResult is verify.SuiteResult\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        with pytest.raises(AttributeError):
+            circleloop.no_such_name
 
 
 class TestSpecFileRoundtrip:

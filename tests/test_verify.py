@@ -1,4 +1,5 @@
 import dataclasses
+import platform
 import subprocess
 import sys
 import warnings
@@ -62,6 +63,30 @@ class TestAxiomSuite:
         res = run_axiom_suite(example_spec)
         ident = [d for d in res.details if d[0].startswith("identity")]
         assert ident and all(v < 1e-10 for _, _, v in ident)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap-trim threshold")
+    def test_rdiv_round_trip_does_not_churn_the_heap(self):
+        # a fresh interpreter, as a `check` process is: without the suite's
+        # 1 MB scratch, each of rdiv's bisection passes can hand the heap top
+        # back to the OS and fault it in again, ~2,500 page faults per call
+        # (how many depends on the heap's history; axioms after isomorphism
+        # shows it)
+        code = (
+            "import resource\n"
+            "from circleloop import FourierSeries, build_loop_spec, verify\n"
+            "spec = build_loop_spec(FourierSeries(0.9, cos=(0.2,), sin=(0.0,)))\n"
+            "def run():\n"
+            "    verify.run_axiom_suite(spec)\n"
+            "    verify.run_suite(spec, 'isomorphism')\n"
+            "run()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(3):\n"
+            "    run()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 300
 
 
     def test_right_monotonicity_agrees_with_baer(self, corrupted_spec):
