@@ -2,11 +2,15 @@
 
 Build a loop spec from a weight series and a shear, validate every
 admissibility condition, evaluate the loop operations, and verify the
-loop / sharp-transitivity properties numerically.  The suites' names load
+loop / sharp-transitivity properties numerically.  `mul`, `ldiv`, `rdiv`
+and `eta` here are those of `circleloop.ops`, which has no gate, behind
+one: InvalidSpecError on a spec that failed validation, and NaN without a
+warning at a non-finite argument.  The suites' names load
 from `circleloop.verify` on first use, so importing the package (or the
 CLI for any command but `check`) does not import them.
 """
 
+from . import ops
 from .builder import (
     Failure,
     LoopSpec,
@@ -21,7 +25,8 @@ from .builder import (
     weight_from_f_inv,
 )
 from .fourier import FourierSeries, solve_a0
-from .ops import eta, ldiv, mul, rdiv
+
+mul, ldiv, rdiv, eta = map(ops._operation, (ops.mul, ops.ldiv, ops.rdiv, ops.eta))
 
 __version__ = "0.1.0"
 

@@ -90,18 +90,16 @@ def _require_valid(spec: LoopSpec) -> None:
         _fail("spec is inadmissible", EXIT_INADMISSIBLE)
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return float(value) * np.pi / 180.0 if degrees else float(value)
-
-
 def _print_operation(args: argparse.Namespace, op, x: float, y: float) -> None:
     """Build and require a valid spec, then print op(spec, x, y) in radians."""
+    if args.degrees:
+        x, y = x * np.pi / 180.0, y * np.pi / 180.0
+    # op has no gate: the angles are checked in radians (1e308 degrees overflows)
     if not np.isfinite([x, y]).all():
         _fail(f"angle arguments must be finite, got {x!r} and {y!r}", EXIT_ERROR)
     spec = _build(args)
     _require_valid(spec)
-    d = args.degrees
-    print(f"{_snap(op(spec, _angle(x, d), _angle(y, d))):.12f}")
+    print(f"{_snap(op(spec, x, y)):.12f}")
 
 
 def _snap(angle):

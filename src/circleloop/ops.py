@@ -33,6 +33,10 @@ loop exactly when every eta_beta is strictly increasing; suite `baer`
 decides that for every beta at once, in closed form.  For a valid spec
 `eta` is closed form too: eta_beta rises from 0 to 2*pi over each turn, so
 its lift at t is its value on the turn of t plus 2*pi per whole turn.
+
+`ops` is the layer with no gate: each operation is defined once here and
+takes any spec, as the suites need on a corrupted one.  The package binds
+its `mul`, `ldiv`, `rdiv` and `eta` to them behind `_operation`.
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ _DIV_RESIDUAL_LIMIT = 1e-6
 #: halvings of [0, 2*pi] in right division: a final bracket 2*pi/2^51 = 2.8e-15 wide
 _BISECTION_STEPS = 51
 #: distance from a multiple of 2*pi within which an `eta` value is that
-#: multiple, far above the rounding of `_mul_unchecked`
+#: multiple, far above the rounding of `mul`
 _SNAP_TOL = 1e-12
 
 
 def _operation(op):
-    """The one gate of every public loop operation.
+    """The one gate of the package's loop operations, applied in `circleloop/__init__.py`.
 
     The spec must have passed validation, else InvalidSpecError.  A point
     where an argument is nan or +-inf gives NaN, without a warning: the
@@ -94,13 +98,8 @@ def _coset_angle(p, q, r, cx, sx, cy, sy):
     return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
 
 
-@_operation
 def mul(spec: LoopSpec, s, t):
     """Loop product s * t as an angle in [0, 2*pi); vectorizes over arrays."""
-    return _mul_unchecked(spec, s, t)
-
-
-def _mul_unchecked(spec: LoopSpec, s, t):
     return _mul_at(spec, s, *_sincos(np.asarray(t, dtype=float)))
 
 
@@ -116,13 +115,8 @@ def _circular_distance(x, y):
     return np.minimum(d, TWO_PI - d)
 
 
-@_operation
 def ldiv(spec: LoopSpec, a, b):
     """The unique y with a * y = b (left division a \\ b)."""
-    return _ldiv_unchecked(spec, a, b)
-
-
-def _ldiv_unchecked(spec: LoopSpec, a, b):
     # sigma(a)^-1 @ rot(b) = U(a)^-1 @ rot(b - a), with U(a)^-1 = [[f_inv, -g], [0, f]];
     # the left rotation is rot(0), whose cos and sin are the constants 1 and 0
     a = np.asarray(a, dtype=float)
@@ -132,14 +126,9 @@ def _ldiv_unchecked(spec: LoopSpec, a, b):
     return _float(_coset_angle(fh, -spec.g._at(ca, sa), 1.0 / fh, 1.0, 0.0, cy, sy) % TWO_PI)
 
 
-@_operation
 def rdiv(spec: LoopSpec, b, a):
-    """The unique x with x * a = b (right division b / a)."""
-    return _rdiv_unchecked(spec, b, a)
-
-
-def _rdiv_unchecked(spec: LoopSpec, b, a):
-    """Bisection on [0, 2*pi] for (x * a - a) mod 2*pi = (b - a) mod 2*pi.
+    """The unique x with x * a = b (right division b / a), by bisection on
+    [0, 2*pi] for (x * a - a) mod 2*pi = (b - a) mod 2*pi.
 
     For a valid spec the left side rises strictly from 0 to 2*pi as x runs
     over [0, 2*pi), so plain bisection converges; the residual check, which
@@ -166,7 +155,6 @@ def _rdiv_unchecked(spec: LoopSpec, b, a):
     return _float(x)
 
 
-@_operation
 def eta(spec: LoopSpec, w, t):
     """Continuous lift of eta_w at t, anchored at eta_w(0) = 0, with w = tan(beta).
 
@@ -181,7 +169,7 @@ def eta(spec: LoopSpec, w, t):
     """
     beta = np.arctan(w)
     turns, tau = np.divmod(np.asarray(t, dtype=float), TWO_PI)
-    value = (_mul_unchecked(spec, tau, beta) - beta) % TWO_PI
+    value = (mul(spec, tau, beta) - beta) % TWO_PI
     at_end = np.minimum(value, TWO_PI - value) < _SNAP_TOL
     lift = np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value) + TWO_PI * turns
     return _float(lift)

@@ -195,6 +195,8 @@ EXAMPLE_FILE = str(SPECS / "example.json")
         ("mul", EXAMPLE_FILE, "1", "inf"),
         ("--degrees", "ldiv", EXAMPLE_FILE, "-inf", "0"),
         ("check", EXAMPLE_FILE, "--seed", "-1"),
+        # finite in degrees, but 1e308 * pi overflows: the angle in radians is inf
+        ("--degrees", "mul", EXAMPLE_FILE, "1e308", "1"),
     ],
 )
 def test_bad_values_exit_one(argv):
@@ -486,6 +488,21 @@ class TestCheck:
         assert "FAIL oracle" in res.stdout
         assert "subfunction-bound at 0.0: inf" in res.stdout
         assert "Traceback" not in res.stderr
+
+    def test_vanishing_profile_fails_every_suite_without_warning(self, tmp_path):
+        # F = (1 + cos t)/2 vanishes at t = pi, an angle of every pair grid
+        weight = {"a0": 0.5, "cos": [0.5], "sin": [0.5]}
+        spec = write_spec(tmp_path, "s.json", {"schema_version": 1, "r": weight})
+        res = run_cli("check", "--skip-validation", spec)
+        assert res.returncode == 3
+        assert res.stderr == ""
+        assert [line for line in res.stdout.splitlines() if not line.startswith(" ")] == [
+            "FAIL axioms: cases=8320 worst=inf tol=1e-09",
+            "FAIL baer: cases=4096 worst=inf tol=0",
+            "FAIL isomorphism: cases=4096 worst=inf tol=1e-08",
+            "FAIL oracle: cases=101 worst=inf tol=1e-08 seed=20260810",
+            "INFO psl2: cases=3 worst=1 tol=1e-09",
+        ]
 
     def test_unknown_suite_exits_one(self, tmp_path):
         spec = write_spec(tmp_path, "t.json", TRIVIAL)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circleloop
 from circleloop import (
     FourierSeries,
     Tolerances,
@@ -14,17 +15,13 @@ from circleloop import (
     eta,
     ldiv,
     mul,
+    ops,
     rdiv,
     solve_a0,
     solve_g_const,
     weight_from_f_inv,
 )
 from circleloop.errors import InvalidSpecError, RootNotBracketedError
-from circleloop.ops import (
-    _ldiv_unchecked,
-    _mul_unchecked,
-    _rdiv_unchecked,
-)
 from circleloop.builder import _q_on_grid
 from circleloop.fourier import _sincos
 from circleloop.specfile import load_spec_file
@@ -106,7 +103,7 @@ def bisection_ldiv(spec, a, b, steps: int = 51):
     lo, hi = np.zeros(target.shape), np.full(target.shape, TWO_PI)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        go_right = (_mul_unchecked(spec, a, mid) - a) % TWO_PI < target
+        go_right = (ops.mul(spec, a, mid) - a) % TWO_PI < target
         lo, hi = np.where(go_right, mid, lo), np.where(go_right, hi, mid)
     return (0.5 * (lo + hi)) % TWO_PI
 
@@ -238,7 +235,7 @@ class TestMul:
         anchors = rng.uniform(0.0, TWO_PI, 16)
         anchors = anchors[np.abs(spec.f_inv(anchors)) >= 1e-3][:, None]
         assert anchors.size
-        lift = np.unwrap(_mul_unchecked(spec, anchors, grid), axis=-1)
+        lift = np.unwrap(ops.mul(spec, anchors, grid), axis=-1)
         assert np.diff(lift, axis=-1).min() > 0.0
         assert np.max(np.abs(lift[:, -1] - lift[:, 0] - TWO_PI)) <= 1e-9
 
@@ -273,14 +270,14 @@ class TestDivisions:
         spec = spec_from_file(name)
         rng = np.random.default_rng(73)
         a, b = rng.uniform(0, TWO_PI, (2, 10000))
-        assert np.max(circ_dist(_ldiv_unchecked(spec, a, b), bisection_ldiv(spec, a, b))) <= 1e-12
+        assert np.max(circ_dist(ops.ldiv(spec, a, b), bisection_ldiv(spec, a, b))) <= 1e-12
 
     def test_rdiv_unbracketed_on_inadmissible_spec(self):
         spec = spec_from_file("inadmissible.json")
         angles = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         aa, bb = np.meshgrid(angles, angles, indexing="ij")
         with pytest.raises(RootNotBracketedError):
-            _rdiv_unchecked(spec, _mul_unchecked(spec, aa, bb), bb)
+            ops.rdiv(spec, ops.mul(spec, aa, bb), bb)
 
     def test_non_finite_points_give_nan(self, example_spec):
         for op in (mul, ldiv, rdiv):
@@ -291,12 +288,10 @@ class TestDivisions:
             assert got[0] == got[2] == op(example_spec, 2.0, 1.0)
 
     def test_rdiv_residual_check_fails_on_nan(self, example_spec, monkeypatch):
-        from circleloop import ops
-
         # the bisection's product kernel, which takes the right factor's sincos
         monkeypatch.setattr(ops, "_mul_at", lambda spec, s, ct, st: np.full(np.shape(s), np.nan))
         with pytest.raises(RootNotBracketedError):
-            _rdiv_unchecked(example_spec, 2.0, 1.0)
+            ops.rdiv(example_spec, 2.0, 1.0)
 
     def test_invalid_spec_rejected(self):
         bad = build_loop_spec(FourierSeries(0.5))
@@ -324,17 +319,17 @@ def operand_pairs(rng, n: int):
 
 
 def assert_operations_match_composition(spec, rng, n: int = 500):
-    """mul, ldiv and rdiv, gated and unchecked, equal the operations composed
-    from `FourierSeries.__call__` bit for bit; each series' `_at` equals its
-    `__call__` at the same angles."""
+    """mul, ldiv and rdiv, of the package (gated) and of `ops`, equal the
+    operations composed from `FourierSeries.__call__` bit for bit; each
+    series' `_at` equals its `__call__` at the same angles."""
     for s, t in operand_pairs(rng, n):
-        assert same_bits(_mul_unchecked(spec, s, t), product_angle(spec, s, t))
-        assert same_bits(_ldiv_unchecked(spec, s, t), ldiv_angle(spec, s, t))
+        assert same_bits(ops.mul(spec, s, t), product_angle(spec, s, t))
+        assert same_bits(ops.ldiv(spec, s, t), ldiv_angle(spec, s, t))
         if spec.verdict:
             assert same_bits(mul(spec, s, t), product_angle(spec, s, t))
             assert same_bits(ldiv(spec, s, t), ldiv_angle(spec, s, t))
             assert same_bits(rdiv(spec, s, t), bisection_rdiv(spec, s, t))
-            assert same_bits(_rdiv_unchecked(spec, s, t), bisection_rdiv(spec, s, t))
+            assert same_bits(ops.rdiv(spec, s, t), bisection_rdiv(spec, s, t))
     ts = rng.uniform(-1.0, 7.5, n)
     for series in (spec.f_inv, spec.g, spec.f_inv.derivative(), FourierSeries(0.3)):
         for t in (ts, float(ts[0]), 0.0):
@@ -474,9 +469,9 @@ class TestTranslationLifts:
         steps = stacked_steps(spec, anchors, ts, translation)
         for a, row in zip(anchors, steps):
             if translation == "left":
-                img = _mul_unchecked(spec, a, ts)
+                img = ops.mul(spec, a, ts)
             else:
-                img = _mul_unchecked(spec, ts, a)
+                img = ops.mul(spec, ts, a)
             assert np.max(np.abs(row - np.diff(np.unwrap(img)))) < 1e-12
             # the steps carry the translation from its first image to every other
             walked = img[0] + np.concatenate(([0.0], np.cumsum(row)))
@@ -603,6 +598,17 @@ class TestOperationGate:
         lift = eta(example_spec, 0.5, ts)
         assert np.isnan(lift[2]) and np.isfinite(lift[[0, 1, 3]]).all()
         assert lift[1] == eta(example_spec, 0.5, ts[:2])[1]
+
+    @pytest.mark.parametrize("name", ["mul", "ldiv", "rdiv", "eta"])
+    def test_package_name_gates_the_one_operation(self, name):
+        assert getattr(circleloop, name).__wrapped__ is getattr(ops, name)
+
+    def test_ops_has_no_gate(self):
+        spec = spec_from_file("inadmissible.json")
+        for name in ("mul", "ldiv"):
+            assert 0.0 <= getattr(ops, name)(spec, 1.0, 2.0) < TWO_PI
+            with pytest.raises(InvalidSpecError):
+                getattr(circleloop, name)(spec, 1.0, 2.0)
 
 
 class TestEtaDerivativeExpr:

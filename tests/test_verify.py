@@ -95,7 +95,7 @@ class TestAxiomSuite:
         # below: its least slope is at most theirs, and both are negative
         ts = np.linspace(0.0, TWO_PI, 4097)
         anchors = np.linspace(0.0, np.pi, 32, endpoint=False)[:, None]
-        lifts = np.unwrap(ops._mul_unchecked(corrupted_spec, ts, anchors), axis=-1)
+        lifts = np.unwrap(ops.mul(corrupted_spec, ts, anchors), axis=-1)
         slopes = np.diff(lifts, axis=-1) / np.diff(ts)
         baer = {d[0]: d for d in run_baer_suite(corrupted_spec).details}
         _, (beta, t), least = baer["eta-min-slope"]
@@ -316,6 +316,16 @@ class TestRunSuite:
     def test_unknown_suite(self, example_spec):
         with pytest.raises(UnknownSuiteError):
             run_suite(example_spec, "nonsense")
+
+    def test_vanishing_profile_fails_every_suite_silently(self):
+        # the weight (1 + cos t + sin t)/2 gives F = (1 + cos t)/2, which vanishes at
+        # t = pi, a pair-grid angle: the kernels divide by 0 there, and every suite
+        # fails without a warning
+        spec = build_loop_spec(FourierSeries(0.5, (0.5,), (0.5,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_suite(spec, "all")
+        assert [r.suite_name for r in results if not r.passed] == list(verify.SUITE_NAMES)
 
     def test_suite_independence(self, even_spec):
         # the axiom suite passes on any verdict-true spec regardless of
