@@ -25,6 +25,16 @@ and shares it: the product reads F, g and rot(s) from one sincos of s
 (`FourierSeries._at`), and right division takes that of its fixed right
 factor once for all its bisection steps (`_mul_at`).
 
+Every angle is wrapped into [0, 2*pi) by `_mod_two_pi`, which returns
+x % 2*pi bit for bit.  Python's and numpy's % both take fmod(x, 2*pi), which
+is exact, and add 2*pi to a negative result; numpy also computes a floor
+quotient that it drops, and that costs as much as the rest.  An array takes
+the fmod and the sign fix alone, and a coset angle, arctan2's value in
+[-pi, pi], the sign fix alone, since there fmod returns its argument; a
+float takes Python's %.  The one rounding is the addition of 2*pi that %
+makes too, and a zero comes out +0.0 from both, so results are the same
+doubles.
+
 For each conjugation angle beta, eta_beta(t) is the coset angle of
 rot(-beta) @ sigma(t) @ rot(beta): where the section's image meets the
 cosets of the conjugated stabilizer.  It is the right translation by beta
@@ -84,8 +94,23 @@ def _operation(op):
     return checked
 
 
+def _mod_two_pi(x, reduced: bool = False):
+    """x % TWO_PI, bit for bit: a Python float for a float, Python's or
+    numpy's, and an array for an array.
+
+    An array takes fmod and then r + 2*pi*(r < 0.0), which adds +0.0 where
+    r >= 0: that turns -0.0 into the +0.0 that % writes and leaves every
+    other r, NaN included, as it is.  `reduced` says |x| < 2*pi, as for an
+    arctan2 value, where fmod returns x and is skipped.
+    """
+    if isinstance(x, float):
+        return float(x) % TWO_PI
+    r = x if reduced else np.fmod(x, TWO_PI)
+    return r + TWO_PI * (r < 0.0)
+
+
 def _coset_angle(p, q, r, cx, sx, cy, sy):
-    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [-pi, pi], from
+    """Coset angle of rot(x) @ [[p, q], [0, r]] @ rot(y), in [0, 2*pi), from
     cx, sx = cos x, sin x and cy, sy = cos y, sin y.
 
     The first column of [[p, q], [0, r]] @ rot(y) is
@@ -95,7 +120,7 @@ def _coset_angle(p, q, r, cx, sx, cy, sy):
     tan-quotient formula has poles.
     """
     radial, rs = p * cy - q * sy, r * sy
-    return np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx)
+    return _mod_two_pi(np.arctan2(radial * sx + rs * cx, radial * cx - rs * sx), reduced=True)
 
 
 def mul(spec: LoopSpec, s, t):
@@ -107,11 +132,11 @@ def _mul_at(spec: LoopSpec, s, ct, st):
     """s * t from ct, st = cos t, sin t; one sincos of s serves F, g and rot(s)."""
     cs, ss = _sincos(np.asarray(s, dtype=float))
     fh = spec.f_inv._at(cs, ss)
-    return _float(_coset_angle(1.0 / fh, spec.g._at(cs, ss), fh, cs, ss, ct, st) % TWO_PI)
+    return _coset_angle(1.0 / fh, spec.g._at(cs, ss), fh, cs, ss, ct, st)
 
 
 def _circular_distance(x, y):
-    d = np.abs(np.asarray(x) - np.asarray(y)) % TWO_PI
+    d = _mod_two_pi(np.abs(np.asarray(x) - np.asarray(y)))
     return np.minimum(d, TWO_PI - d)
 
 
@@ -123,7 +148,7 @@ def ldiv(spec: LoopSpec, a, b):
     ca, sa = _sincos(a)
     fh = spec.f_inv._at(ca, sa)
     cy, sy = _sincos(np.asarray(b, dtype=float) - a)
-    return _float(_coset_angle(fh, -spec.g._at(ca, sa), 1.0 / fh, 1.0, 0.0, cy, sy) % TWO_PI)
+    return _coset_angle(fh, -spec.g._at(ca, sa), 1.0 / fh, 1.0, 0.0, cy, sy)
 
 
 def rdiv(spec: LoopSpec, b, a):
@@ -136,15 +161,15 @@ def rdiv(spec: LoopSpec, b, a):
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     ca, sa = _sincos(a)
-    target = (b - a) % TWO_PI
-    lo = np.zeros(target.shape)
-    hi = np.full(target.shape, TWO_PI)
+    target = _mod_two_pi(b - a)
+    lo = np.zeros(np.shape(target))
+    hi = np.full(lo.shape, TWO_PI)
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        go_right = (_mul_at(spec, mid, ca, sa) - a) % TWO_PI < target
+        go_right = _mod_two_pi(_mul_at(spec, mid, ca, sa) - a) < target
         lo = np.where(go_right, mid, lo)
         hi = np.where(go_right, hi, mid)
-    x = (0.5 * (lo + hi)) % TWO_PI
+    x = _mod_two_pi(0.5 * (lo + hi))
     residual = _circular_distance(_mul_at(spec, x, ca, sa), b)
     if not np.all(residual <= _DIV_RESIDUAL_LIMIT):
         worst = float(np.max(residual))
@@ -152,7 +177,7 @@ def rdiv(spec: LoopSpec, b, a):
             f"right division residual {worst:.3e}; the right translation is not "
             "a monotone circle map (inadmissible spec?)"
         )
-    return _float(x)
+    return x
 
 
 def eta(spec: LoopSpec, w, t):
@@ -169,7 +194,7 @@ def eta(spec: LoopSpec, w, t):
     """
     beta = np.arctan(w)
     turns, tau = np.divmod(np.asarray(t, dtype=float), TWO_PI)
-    value = (mul(spec, tau, beta) - beta) % TWO_PI
+    value = _mod_two_pi(mul(spec, tau, beta) - beta)
     at_end = np.minimum(value, TWO_PI - value) < _SNAP_TOL
     lift = np.where(at_end, np.where(tau < np.pi, 0.0, TWO_PI), value) + TWO_PI * turns
     return _float(lift)

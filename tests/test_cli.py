@@ -444,6 +444,18 @@ class TestCheck:
         triv = write_spec(tmp_path, "t.json", TRIVIAL)
         assert run_cli("check", triv, "--suite", "psl2").returncode == 0
 
+    def test_overflowing_oracle_integrand_does_not_warn(self, tmp_path):
+        huge = {"schema_version": 1, "r": {"a0": 1e160, "cos": [1e160], "sin": [0.0]}}
+        spec = write_spec(tmp_path, "huge.json", huge)
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "circleloop.cli", "check", "--skip-validation",
+             "--suite", "oracle", spec],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == 3, res.stderr
+        assert res.stderr == ""
+        assert "subfunction-bound at 0.0: inf" in res.stdout
+
     def test_corrupted_blocked_without_skip(self, tmp_path):
         spec = write_spec(tmp_path, "c.json", CORRUPTED)
         assert run_cli("check", spec, "--suite", "baer").returncode == 2
@@ -520,7 +532,8 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
-print(code, *(m for m in ("click", "circleloop.verify", "numpy.random") if m in sys.modules))
+print(code, *(m for m in ("click", "circleloop.verify", "numpy.random", "numpy.polynomial")
+               if m in sys.modules))
 """
 
 
@@ -544,6 +557,7 @@ class TestImportFootprint:
         assert _footprint(*argv) == (0, [])
 
     def test_check_does_not_load_numpy_random(self):
+        # nor numpy.polynomial: the oracle's Gauss-Legendre rule comes from numpy.linalg
         assert _footprint("check", EXAMPLE_FILE) == (0, ["circleloop.verify"])
 
     def test_public_names_unchanged_and_resolve(self):

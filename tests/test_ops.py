@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from pathlib import Path
@@ -356,6 +357,63 @@ class TestSharedSincos:
         b, a = rng.uniform(0.0, TWO_PI, (2, 256))
         assert same_bits(rdiv(example_spec, b, a), bisection_rdiv(example_spec, b, a))
         assert not same_bits(rdiv(example_spec, b, a), bisection_rdiv(example_spec, b, a, 50))
+
+
+#: floats whose remainder takes every branch of `%`: zeros of both signs,
+#: subnormals, the ends of the turn, overflow-size values, infinities and NaN
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, np.pi,
+    -np.pi, TWO_PI, -TWO_PI, math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0),
+    1.7e308, -1.7e308, np.inf, -np.inf, np.nan,
+)
+any_float = st.floats() | st.sampled_from(EDGE_FLOATS)
+
+
+class TestModTwoPi:
+    """`ops._mod_two_pi` is `% TWO_PI`, bit for bit, on each of its paths."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(x=any_float, xs=st.lists(any_float, max_size=40))
+    def test_equals_percent(self, x, xs):
+        with np.errstate(invalid="ignore"):
+            assert same_bits(ops._mod_two_pi(x), x % TWO_PI)
+            assert same_bits(ops._mod_two_pi(np.float64(x)), float(np.float64(x) % TWO_PI))
+            arr = np.array(xs + [x])
+            assert same_bits(ops._mod_two_pi(arr), arr % TWO_PI)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(xs=st.lists(st.floats(-np.pi, np.pi) | st.just(np.nan), min_size=1, max_size=40))
+    def test_reduced_equals_percent_on_arctan2_values(self, xs):
+        arr = np.array(xs)
+        assert same_bits(ops._mod_two_pi(arr, reduced=True), arr % TWO_PI)
+
+    #: (s, t) outside [0, 2*pi), then s * t, s \ t, s / t and eta_w(s) at
+    #: w = 0.7 on example_shear.json, as float.hex, frozen from the
+    #: operations' `% TWO_PI` form
+    FROZEN = (
+        ((-1.0, 7.5), ("0x1.a332bfc6264fcp-3", "0x1.23b3ee6666978p+1", "0x1.09c6cf67793ecp+2",
+                       "-0x1.f523ef0f63f70p-1")),
+        ((100.0, -3.0), ("0x1.618db96a31d12p+1", "0x1.e4f0b6dc61a03p+1", "0x1.439817a1f14d7p+1",
+                         "0x1.901a4e6fa5cb8p+6")),
+        ((-1000.0, 12.5), ("0x1.4f3881a2f0d4cp+2", "0x1.ca7438ed101b5p-1",
+                           "0x1.586d650e8f618p+2", "-0x1.f3fd2ac08f875p+9")),
+        ((1e6, -2.5e5), ("0x1.47e3cee585500p+0", "0x1.06f64a3c368bep+1", "0x1.1377e06ebed02p+2",
+                         "0x1.e84800aaa6006p+19")),
+        ((-7.0, -13.0), ("0x1.461168a7e6a7ap+2", "0x1.0ef92dad53c20p-2", "0x1.8142f6c057d7cp+2",
+                         "-0x1.be46219660bb3p+2")),
+        ((TWO_PI, -TWO_PI), ("0x0.0p+0", "0x1.1a62633145c07p-51", "0x1.921fb54442d18p-50",
+                             "0x1.921fb54442d18p+2")),
+    )
+
+    def test_operations_outside_the_turn_are_frozen(self):
+        spec = spec_from_file("example_shear.json")
+        s, t = (np.array(x) for x in zip(*(pair for pair, _ in self.FROZEN)))
+        ops_at = lambda s, t: (mul(spec, s, t), ldiv(spec, s, t), rdiv(spec, s, t), eta(spec, 0.7, s))
+        arrays = ops_at(s, t)
+        for i, ((si, ti), frozen) in enumerate(self.FROZEN):
+            expected = [float.fromhex(h) for h in frozen]
+            assert all(same_bits(got, want) for got, want in zip(ops_at(si, ti), expected))
+            assert all(same_bits(got[i], np.float64(want)) for got, want in zip(arrays, expected))
 
 
 class TestEta:

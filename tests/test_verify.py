@@ -289,6 +289,13 @@ class TestOracleSuite:
         assert res.details[0][0] == name
         assert res.worst_violation == pytest.approx(1e-7, rel=1e-3)
 
+    @pytest.mark.parametrize("n", [32, 36, 48, 288, 1056])
+    def test_gauss_legendre_matches_leggauss(self, n):
+        nodes, weights = verify._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-15
+        assert np.sum(np.abs(weights - ref_weights)) <= 1e-12
+
     def test_weight_profile_mismatch_fails_profile_detail(self, example_spec):
         # the profile read against a weight offset by 1e-7: the weighted
         # integral moves by 1e-7 (1 - e^-t), the profile gap by 1e-7 (e^t - 1)
